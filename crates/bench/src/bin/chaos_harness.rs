@@ -1,58 +1,34 @@
-//! Chaos harness for the serving controller.
+//! Chaos harness for the serving fleet.
 //!
-//! Runs seeded fault scenarios against `gddr-serve` and checks
-//! serving SLOs: zero unanswered requests, every response rung-tagged
-//! with a routing valid for the active topology, bounded p99 ladder
-//! depth, and recovery within a fixed number of requests after the
-//! fault window closes. Every scenario runs **twice** and the two
-//! rung sequences must be bit-identical — determinism is itself an
-//! SLO.
+//! Runs the named scenarios of `gddr_serve::scenario` and checks their
+//! declarative gates: zero unanswered requests, every routing valid on
+//! the topology active when served, bounded p99 ladder depth, recovery
+//! after the fault window, plus each scenario's own failover, hedge,
+//! shed, breaker, restart and bystander expectations. Every scenario
+//! runs **twice** and the two rung, failover and event digests must be
+//! bit-identical — determinism is itself an SLO — and the first run is
+//! checked against the committed golden row for the same
+//! `(name, seed, requests)`, when one exists.
 //!
-//! The `budget_zero` scenario is deliberately broken (restart budget
-//! zero under a panic storm) and must FAIL its recovery SLO: it
-//! proves the harness detects violations rather than rubber-stamping.
-//! All other scenarios must pass.
+//! Scenarios flagged deliberately broken (`budget_zero`,
+//! `replicas_exhausted`, `broken_blackout`, `manifest_lies`) must FAIL
+//! their gates: they prove the harness detects violations rather than
+//! rubber-stamping. All others must pass.
 //!
-//! Replication scenarios (`--scenario replication`, or any name from
-//! `replication_scenario_names`) drive a replica set instead of a
-//! bare controller: primary kill + failover, hedged stragglers,
-//! rolling retools under live maintenance, and a flapping replica.
-//! Their determinism digest covers the failover sequence too, and
-//! `replicas_exhausted` is their deliberately broken member.
-//!
-//! Dynamic scenarios (`--scenario dynamics`, or any name from
-//! `dynamic_scenario_names`) drive a sharded fleet under a compiled
-//! [`DynamicsPlan`] timeline: link flaps with repair timers, rolling
-//! maintenance windows and stacked capacity drains applied between
-//! serving epochs, over scenario traffic (diurnal cycles, flash
-//! crowds, elephant/mice mixes) and synthetic hierarchical WANs up to
-//! 400 nodes. Their determinism digest further extends to the
-//! applied-event sequence, and `broken_blackout` is their
-//! deliberately broken member.
-//!
-//! Recovery scenarios (`--scenario recovery`, or any name from
-//! `recovery_scenario_names`) crash a snapshot-enabled fleet
-//! mid-serve and restart it from its durable store: a clean
-//! crash/restore must come back warm on the restored LastGood rung,
-//! a corruption sweep (torn writes, bit flips, missing files) must
-//! cold-start cleanly with typed errors, and `manifest_lies` — whose
-//! manifest pins bytes it does not match — is their deliberately
-//! broken member: the store correctly refuses the warm restore the
-//! scenario demands.
-//!
-//! [`DynamicsPlan`]: gddr_serve::scenario::DynamicsPlan
+//! `--scenario` takes `all`, a tag (`controller`, `replication`,
+//! `dynamics`, `recovery`, `fleet`) or a comma-separated list of
+//! names. A request budget below a scenario's minimum is raised to it.
 //!
 //! ```text
-//! chaos_harness [--scenario all|replication|dynamics|recovery|<name>[,<name>...]]
+//! chaos_harness [--scenario all|<tag>|<name>[,<name>...]]
 //!               [--seed N] [--requests N] [--out PATH]
 //!               [--telemetry PATH] [--postmortem PATH]
 //! ```
 //!
 //! A bounded flight recorder is always installed: the first
-//! `slo_alert` (the deliberately broken `budget_zero` scenario burns
-//! its error budget) — or, failing that, the first unexpected
-//! violation — dumps the recent event history to `--postmortem` as
-//! replayable JSONL.
+//! `slo_alert` (scenarios that burn their error budget must trip one)
+//! — or, failing that, the first unexpected violation — dumps the
+//! recent event history to `--postmortem` as replayable JSONL.
 //!
 //! Exits non-zero on any unexpected result and prints the scenario
 //! name and seed needed to reproduce it:
@@ -65,14 +41,15 @@ use std::sync::Arc;
 
 use gddr_bench::{flag, parse_args, write_artifact};
 use gddr_ser::Json;
-use gddr_serve::chaos::{
-    recovery_scenario_names, replication_scenario_names, run_recovery_scenario,
-    run_replication_scenario, run_scenario, scenario_names, scenario_seed, ScenarioOutcome,
-};
-use gddr_serve::scenario::{dynamic_scenario_names, run_dynamic_scenario};
+use gddr_serve::scenario::{golden_mismatches, run, scenario_seed, select, ScenarioOutcome};
 use gddr_telemetry::{FlightRecorder, JsonlSink, Sink, TeeSink};
 
-fn outcome_json(outcome: &ScenarioOutcome, expected_fail: bool, deterministic: bool) -> Json {
+fn outcome_json(
+    outcome: &ScenarioOutcome,
+    expected_fail: bool,
+    deterministic: bool,
+    golden: Option<bool>,
+) -> Json {
     Json::obj([
         ("name", Json::Str(outcome.name.clone())),
         ("seed", Json::Num(outcome.seed as f64)),
@@ -96,6 +73,7 @@ fn outcome_json(outcome: &ScenarioOutcome, expected_fail: bool, deterministic: b
         ("event_sequence", Json::Str(outcome.event_sequence.clone())),
         ("deterministic", Json::Bool(deterministic)),
         ("expected_fail", Json::Bool(expected_fail)),
+        ("golden_match", golden.map_or(Json::Null, Json::Bool)),
         (
             "violations",
             Json::Arr(
@@ -134,17 +112,10 @@ fn main() {
     gddr_telemetry::install(Arc::new(TeeSink::new(sinks)));
 
     let scenario_arg = args.get("scenario").map(String::as_str).unwrap_or("all");
-    let owned: Vec<String>;
-    let scenarios: Vec<&str> = match scenario_arg {
-        "all" => scenario_names().to_vec(),
-        "replication" => replication_scenario_names().to_vec(),
-        "dynamics" => dynamic_scenario_names().to_vec(),
-        "recovery" => recovery_scenario_names().to_vec(),
-        list => {
-            owned = list.split(',').map(str::to_string).collect();
-            owned.iter().map(String::as_str).collect()
-        }
-    };
+    let specs = select(scenario_arg).unwrap_or_else(|e| {
+        eprintln!("chaos_harness: {e}");
+        std::process::exit(2);
+    });
     let base_seed: u64 = flag(&args, "seed", 42);
     let requests: usize = flag(&args, "requests", 48);
     let out = args
@@ -158,43 +129,12 @@ fn main() {
 
     let mut results = Vec::new();
     let mut unexpected: Vec<String> = Vec::new();
-    for name in &scenarios {
+    for spec in &specs {
+        let name = spec.name;
         let seed = scenario_seed(base_seed, name);
-        let expected_fail = *name == "budget_zero"
-            || *name == "replicas_exhausted"
-            || *name == "broken_blackout"
-            || *name == "manifest_lies";
-        let replicated = replication_scenario_names().contains(name);
-        let dynamic = dynamic_scenario_names().contains(name);
-        let recovery = recovery_scenario_names().contains(name);
+        let expected_fail = spec.expect_fail;
         // Replay-determinism SLO: same seed, same scenario, twice.
-        // Replicated scenarios extend the digest with the failover
-        // sequence; dynamic ones add the applied-event sequence.
-        // Dynamic scenarios need enough requests to cover their event
-        // horizons, so the floor is raised for them.
-        let (first, second) = if dynamic {
-            let req = requests.max(88);
-            (
-                run_dynamic_scenario(name, seed, req),
-                run_dynamic_scenario(name, seed, req),
-            )
-        } else if replicated {
-            (
-                run_replication_scenario(name, seed, requests),
-                run_replication_scenario(name, seed, requests),
-            )
-        } else if recovery {
-            (
-                run_recovery_scenario(name, seed, requests),
-                run_recovery_scenario(name, seed, requests),
-            )
-        } else {
-            (
-                run_scenario(name, seed, requests),
-                run_scenario(name, seed, requests),
-            )
-        };
-        match (first, second) {
+        match (run(spec, seed, requests), run(spec, seed, requests)) {
             (Ok(a), Ok(b)) => {
                 let deterministic = a.rung_sequence == b.rung_sequence
                     && a.failover_sequence == b.failover_sequence
@@ -210,6 +150,10 @@ fn main() {
                         b.event_sequence
                     ));
                 }
+                let golden = golden_mismatches(&a);
+                for m in golden.iter().flatten() {
+                    unexpected.push(format!("{name}: golden mismatch, {m}"));
+                }
                 if expected_fail && a.passed() {
                     unexpected.push(format!(
                         "{name}: deliberately broken scenario passed its SLOs"
@@ -221,7 +165,7 @@ fn main() {
                     }
                 }
                 println!(
-                    "chaos {name}: {} submitted, {} answered, rungs {}, shed {}, restarts {}, breaker {}, p99 depth {}, failovers {} [{}], hedges {}, recoveries {} — {}",
+                    "chaos {name}: {} submitted, {} answered, rungs {}, shed {}, restarts {}, breaker {}, p99 depth {}, failovers {} [{}], hedges {}, recoveries {}, golden {} — {}",
                     a.submitted,
                     a.answered,
                     a.rung_sequence,
@@ -233,6 +177,11 @@ fn main() {
                     a.failover_sequence,
                     a.hedges,
                     a.recoveries,
+                    match &golden {
+                        None => "none",
+                        Some(m) if m.is_empty() => "match",
+                        Some(_) => "MISMATCH",
+                    },
                     if expected_fail {
                         if a.passed() { "UNEXPECTED PASS" } else { "failed as designed" }
                     } else if a.passed() && deterministic {
@@ -241,7 +190,8 @@ fn main() {
                         "VIOLATED"
                     }
                 );
-                results.push(outcome_json(&a, expected_fail, deterministic));
+                let golden = golden.map(|m| m.is_empty());
+                results.push(outcome_json(&a, expected_fail, deterministic, golden));
             }
             (Err(e), _) | (_, Err(e)) => {
                 unexpected.push(format!("{name}: harness error: {e}"));
@@ -250,19 +200,13 @@ fn main() {
     }
     let _ = std::panic::take_hook();
 
-    // The deliberately broken scenarios (budget_zero; the replicated
-    // replicas_exhausted; the dynamic broken_blackout) burn their
-    // whole error budget, so any run including one must leave a
+    // Scenarios that burn their whole error budget must leave a
     // postmortem behind whose trigger — and final line — is an
     // slo_alert.
     let mut postmortem_alerts = 0usize;
-    let broken_included = scenarios.contains(&"budget_zero")
-        || scenarios.contains(&"replicas_exhausted")
-        || scenarios.contains(&"broken_blackout");
-    if broken_included {
+    if specs.iter().any(|s| s.slo_alert) {
         if !recorder.has_dumped() {
-            unexpected
-                .push("the broken scenario never tripped an slo_alert postmortem".to_string());
+            unexpected.push("no scenario tripped an slo_alert postmortem".to_string());
         } else {
             let text = std::fs::read_to_string(&postmortem).expect("read postmortem");
             match gddr_telemetry::parse_jsonl(&text) {
@@ -291,7 +235,7 @@ fn main() {
         recorder.dump_once("chaos unexpected violation");
     }
 
-    gddr_telemetry::counter_add("chaos.scenarios", scenarios.len() as u64);
+    gddr_telemetry::counter_add("chaos.scenarios", specs.len() as u64);
     gddr_telemetry::counter_add("chaos.unexpected", unexpected.len() as u64);
 
     let artifact = Json::obj([
@@ -322,7 +266,7 @@ fn main() {
     if unexpected.is_empty() {
         println!(
             "chaos: {} scenarios behaved as specified (deliberately broken ones failed as designed)",
-            scenarios.len()
+            specs.len()
         );
     } else {
         for v in &unexpected {

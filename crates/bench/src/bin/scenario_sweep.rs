@@ -11,8 +11,8 @@
 //!   unit-weight shortest-path routing (`"sp_routing"`) — ratios are
 //!   then comparative, not optimality gaps, and the JSON labels them
 //!   as such.
-//! - **serve-side behaviour** — the matching dynamic chaos scenario
-//!   ([`gddr_serve::scenario::run_dynamic_scenario`]) is run under the
+//! - **serve-side behaviour** — the matching `dynamics` chaos scenario
+//!   ([`gddr_serve::scenario::run`]) is run under the
 //!   fleet and its p99 ladder-rung depth, answered/submitted counts
 //!   and applied-event digest are recorded.
 //!
@@ -46,9 +46,8 @@ use gddr_routing::baselines::shortest_path_routing;
 use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::softmin_routing;
 use gddr_ser::Json;
-use gddr_serve::chaos::scenario_seed;
 use gddr_serve::engine::{InferenceEngine, PolicyEngine};
-use gddr_serve::scenario::run_dynamic_scenario;
+use gddr_serve::scenario::{self, scenario_seed};
 use gddr_serve::{EpochRequest, DEFAULT_DEADLINE_MS};
 use gddr_telemetry::Reporter;
 use gddr_traffic::gen::BimodalParams;
@@ -326,7 +325,8 @@ fn main() {
             ));
         }
 
-        let serve = run_dynamic_scenario(name, scenario_seed(seed, name), requests)
+        let spec = scenario::spec(name).expect("every regime is a scenario");
+        let serve = scenario::run(&spec, scenario_seed(seed, name), requests)
             .expect("dynamic scenario runs");
         if !serve.passed() {
             for v in &serve.violations {

@@ -51,9 +51,8 @@ use gddr_rng::rngs::StdRng;
 use gddr_rng::SeedableRng;
 use gddr_ser::Json;
 use gddr_serve::{
-    ChaosEngine, ControllerConfig, EngineFactory, FailoverConfig, Fault, FaultPlan, FleetConfig,
-    FleetRequest, HealthState, HedgeConfig, InferenceEngine, PolicyEngine, PoolConfig,
-    RecoveryReport, Rung, ShardOutcome, ShardRouter, SnapshotPolicy,
+    scenario, ControllerConfig, EngineFactory, FleetConfig, FleetRequest, HealthState,
+    InferenceEngine, PolicyEngine, Rung, ScenarioSpec, ShardOutcome, ShardRouter,
 };
 use gddr_telemetry::{bucket_width, FlightRecorder, JsonlSink, LogHistogram, Sink, TeeSink};
 use gddr_traffic::gen::{bimodal, BimodalParams};
@@ -73,7 +72,7 @@ fn shard_names() -> &'static [&'static str] {
 
 /// A small-but-real GNN engine factory for one shard. Each shard gets
 /// its own deterministic weights (`seed ^ shard`).
-fn gnn_factory(seed: u64, plan: Arc<FaultPlan>) -> EngineFactory {
+fn gnn_factory(seed: u64) -> EngineFactory {
     Arc::new(move |graph: &Graph| {
         let mut rng = StdRng::seed_from_u64(seed);
         let policy = GnnPolicy::new(
@@ -87,8 +86,7 @@ fn gnn_factory(seed: u64, plan: Arc<FaultPlan>) -> EngineFactory {
             -0.5,
             &mut rng,
         );
-        let engine = PolicyEngine::new(policy, graph, MEMORY);
-        Box::new(ChaosEngine::new(engine, Arc::clone(&plan))) as Box<dyn InferenceEngine>
+        Box::new(PolicyEngine::new(policy, graph, MEMORY)) as Box<dyn InferenceEngine>
     })
 }
 
@@ -112,24 +110,11 @@ fn fleet_config(coalesce: usize, threads: usize) -> FleetConfig {
     }
 }
 
-/// Builds the full fleet; `kill` names a shard whose engines panic on
-/// every epoch with zero restart budget (the dying shard of the chaos
-/// phase).
-fn build_fleet(config: FleetConfig, seed: u64, kill: Option<&str>) -> ShardRouter {
+/// Builds the full fleet.
+fn build_fleet(config: FleetConfig, seed: u64) -> ShardRouter {
     let mut router = ShardRouter::new(config).expect("fleet config is valid");
     for (i, name) in shard_names().iter().enumerate() {
         let graph = zoo::by_name(name).expect("zoo topology exists");
-        let mut ctrl = controller_config();
-        let plan = if kill == Some(*name) {
-            ctrl.pool = PoolConfig {
-                workers: 1,
-                restart_budget: 0,
-                ..PoolConfig::default()
-            };
-            Arc::new(FaultPlan::new().span(1..=4096, Fault::Panic))
-        } else {
-            Arc::new(FaultPlan::new())
-        };
         router
             .add_shard(
                 name,
@@ -138,8 +123,8 @@ fn build_fleet(config: FleetConfig, seed: u64, kill: Option<&str>) -> ShardRoute
                     memory: MEMORY,
                     ..DdrEnvConfig::default()
                 },
-                ctrl,
-                gnn_factory(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15), plan),
+                controller_config(),
+                gnn_factory(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15)),
             )
             .expect("unique shard name");
     }
@@ -254,7 +239,7 @@ fn main() {
     let load = make_load(ticks, clients, seed);
     let total = load.len();
     println!("serve_load: {total} requests, {shards} shards, {clients} clients/tick, coalesce {coalesce}, {threads} threads");
-    let fleet = build_fleet(fleet_config(coalesce, threads), seed, None);
+    let fleet = build_fleet(fleet_config(coalesce, threads), seed);
     let start = Instant::now();
     let outcomes = fleet.run(&load).expect("all topologies are sharded");
     let elapsed = start.elapsed();
@@ -310,10 +295,10 @@ fn main() {
 
     // Phase 2: batched == per-request, bit for bit.
     let identity_load = make_load(3, 4, seed ^ 0x1de57);
-    let reference = build_fleet(fleet_config(1, threads), seed, None)
+    let reference = build_fleet(fleet_config(1, threads), seed)
         .run(&identity_load)
         .expect("identity reference run");
-    let batched = build_fleet(fleet_config(coalesce.max(2), threads), seed, None)
+    let batched = build_fleet(fleet_config(coalesce.max(2), threads), seed)
         .run(&identity_load)
         .expect("identity batched run");
     let mut identity_checked = 0usize;
@@ -347,219 +332,84 @@ fn main() {
         }
     );
 
-    // Phase 3: kill one shard's workers; the blast radius must stay
-    // inside that shard. The injected panics are expected and
-    // supervised — the default hook's backtraces would drown the
-    // report.
+    // Phases 3-5 are the `fleet`-tagged scenarios, run on this bench's
+    // fleet settings. The injected panics are expected and supervised
+    // — the default hook's backtraces would drown the report.
     std::panic::set_hook(Box::new(|_| {}));
-    let killed = "geant";
-    let chaos_fleet = build_fleet(fleet_config(coalesce, threads), seed, Some(killed));
-    let chaos_load = make_load(8, 4, seed ^ 0xc4a05);
-    let chaos = chaos_fleet.run(&chaos_load).expect("chaos run");
-    let mut killed_degraded = 0usize;
-    let mut killed_total = 0usize;
-    for o in &chaos {
-        let is_killed = o.name == killed;
-        let degraded = o.responses.iter().filter(|r| r.rung != Rung::Fresh).count();
-        if is_killed {
-            killed_total = o.responses.len();
-            killed_degraded = degraded;
-        } else if degraded > 0 {
-            violations.push(format!(
-                "chaos: healthy shard {} degraded {degraded} responses (blast radius escaped)",
-                o.name
-            ));
-        }
+    let drill = |name: &str| {
+        let mut spec = scenario::spec(name).expect("fleet drill exists");
+        spec.fleet = fleet_config(coalesce, threads);
+        let outcome = scenario::run(&spec, seed, 0).expect("fleet drill runs");
+        (spec, outcome)
+    };
+    let (blast_spec, blast) = drill("fleet_blast_radius");
+    let (rep_spec, rep) = drill("fleet_failover");
+    let (_, replay) = drill("fleet_failover");
+    let (_, recovery) = drill("fleet_recovery_drill");
+    for outcome in [&blast, &rep, &recovery] {
+        let name = &outcome.name;
+        violations.extend(outcome.violations.iter().map(|v| format!("{name}: {v}")));
     }
+    // The shard with injected faults: the one the drill kills.
+    let faulted = |spec: &ScenarioSpec| {
+        spec.shards
+            .iter()
+            .position(|s| s.replicas.iter().any(|r| r.faults.last_epoch().is_some()))
+            .expect("drill injects faults")
+    };
+    let fresh_count = |rungs: &str| rungs.chars().filter(|&c| c == Rung::Fresh.letter()).count();
+
+    // Phase 3: kill one shard's workers; the blast radius must stay
+    // inside that shard.
+    let killed = &blast.shards[faulted(&blast_spec)];
+    let killed_degraded = killed.rung_sequence.len() - fresh_count(&killed.rung_sequence);
     if killed_degraded == 0 {
         violations.push(format!(
-            "chaos: killed shard {killed} never degraded ({killed_total} responses)"
+            "chaos: killed shard {} never degraded",
+            killed.name
         ));
     }
-    let killed_idx = chaos_fleet.route(killed).expect("killed shard exists");
-    let killed_health = chaos_fleet
-        .with_controller(killed_idx, |c| c.health())
-        .expect("killed shard exists");
-    let killed_alive = chaos_fleet
-        .with_controller(killed_idx, |c| c.alive_workers())
-        .expect("killed shard exists");
-    if killed_alive != 0 {
+    if killed.alive_workers != 0 {
         violations.push(format!(
-            "chaos: killed shard still reports {killed_alive} live workers"
+            "chaos: killed shard still reports {} live workers",
+            killed.alive_workers
         ));
     }
     println!(
-        "serve_load: chaos — shard {killed} degraded {killed_degraded}/{killed_total} (health {:?}), others Fresh",
-        killed_health
+        "serve_load: chaos — shard {} degraded {killed_degraded}/{} (health {:?}), others Fresh",
+        killed.name,
+        killed.rung_sequence.len(),
+        killed.health
     );
 
-    // Phase 4: replicated self-healing. A small fleet — two replicas
-    // behind each of three shards — with the geant primary's engines
-    // panicking over a fixed epoch window on a one-worker pool with a
-    // single restart. The set must hedge the in-window batches to the
-    // standby (so the response stream stays overwhelmingly Fresh),
-    // fail over, shadow-probe the demoted primary back to
-    // eligibility, and answer every request. The whole phase runs
-    // twice: rung and failover sequences are pure functions of the
-    // seed and must replay bit-identically.
-    let rep_names: [&str; 3] = ["cesnet", "abilene", "geant"];
-    let rep_killed = "geant";
-    let build_replicated = |seed: u64| -> ShardRouter {
-        let mut router =
-            ShardRouter::new(fleet_config(coalesce, threads)).expect("fleet config is valid");
-        for (i, name) in rep_names.iter().enumerate() {
-            let graph = zoo::by_name(name).expect("zoo topology exists");
-            let mut ctrl = controller_config();
-            let primary_plan = if *name == rep_killed {
-                ctrl.pool = PoolConfig {
-                    workers: 1,
-                    restart_budget: 1,
-                    ..PoolConfig::default()
-                };
-                Arc::new(FaultPlan::new().span(2..=6, Fault::Panic))
-            } else {
-                Arc::new(FaultPlan::new())
-            };
-            let shard_seed = seed ^ (i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15);
-            router
-                .add_replicated_shard(
-                    name,
-                    graph,
-                    DdrEnvConfig {
-                        memory: MEMORY,
-                        ..DdrEnvConfig::default()
-                    },
-                    ctrl,
-                    vec![
-                        gnn_factory(shard_seed, primary_plan),
-                        gnn_factory(shard_seed ^ 0x5eed, Arc::new(FaultPlan::new())),
-                    ],
-                    FailoverConfig {
-                        failover_threshold: 3,
-                        min_hold: 6,
-                        hold_jitter: 2,
-                        probe_window: 4,
-                        probe_fresh_min: 0.75,
-                        seed,
-                    },
-                    // Real engines report wall-clock inference cost,
-                    // so the straggler threshold sits far above
-                    // scheduler noise: only deterministic worker-side
-                    // failures (the injected panics) trigger hedges,
-                    // keeping the replay bit-identical. Logical-cost
-                    // straggler hedging is the chaos harness's job.
-                    HedgeConfig {
-                        enabled: true,
-                        threshold_ms: 5_000,
-                    },
-                )
-                .expect("unique shard name");
-        }
-        router
-    };
-    let (rep_ticks, rep_clients) = (16u64, 3u64);
-    let rep_sizes: Vec<(String, usize)> = rep_names
-        .iter()
-        .map(|n| (n.to_string(), zoo::by_name(n).unwrap().num_nodes()))
-        .collect();
-    let mut rep_load = Vec::new();
-    for tick in 0..rep_ticks {
-        for client in 0..rep_clients {
-            for (i, (name, n)) in rep_sizes.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    (seed ^ 0x5e1f)
-                        ^ (tick << 24 | client << 8 | i as u64).wrapping_mul(0x100000001b3),
-                );
-                rep_load.push(FleetRequest {
-                    topology: name.clone(),
-                    request: gddr_serve::EpochRequest {
-                        epoch: tick,
-                        demands: bimodal(*n, &BimodalParams::default(), &mut rng),
-                        deadline_ms: DEADLINE_MS,
-                    },
-                });
-            }
-        }
-    }
-    let rep_fleet = build_replicated(seed);
-    let rep_out = rep_fleet.run(&rep_load).expect("replicated run");
-    let rep_replay_fleet = build_replicated(seed);
-    let rep_replay = rep_replay_fleet.run(&rep_load).expect("replicated replay");
-    let rep_answered: usize = rep_out.iter().map(|o| o.responses.len()).sum();
-    if rep_answered != rep_load.len() {
-        violations.push(format!(
-            "replicated: {} submitted but {rep_answered} answered",
-            rep_load.len()
-        ));
-    }
-    let rep_killed_idx = rep_fleet
-        .route(rep_killed)
-        .expect("replicated shard exists");
-    let rep_stats = rep_fleet
-        .with_replica_set(rep_killed_idx, |s| s.stats().clone())
-        .expect("replicated shard exists");
-    let rep_replay_stats = rep_replay_fleet
-        .with_replica_set(rep_killed_idx, |s| s.stats().clone())
-        .expect("replicated shard exists");
-    let rep_seq = rep_stats.failover_sequence();
-    let rep_deterministic = rep_seq == rep_replay_stats.failover_sequence()
-        && rep_out
-            .iter()
-            .zip(&rep_replay)
-            .all(|(a, b)| a.name == b.name && a.rung_sequence() == b.rung_sequence());
+    // Phase 4: replicated self-healing, run twice: rung and failover
+    // sequences are pure functions of the seed.
+    let rep_killed = &rep.shards[faulted(&rep_spec)];
+    let rep_deterministic = rep.rung_sequence == replay.rung_sequence
+        && rep.failover_sequence == replay.failover_sequence;
     if !rep_deterministic {
         violations.push(format!(
-            "replicated: same-seed replay diverged (failover sequence [{rep_seq}] vs [{}])",
-            rep_replay_stats.failover_sequence()
+            "replicated: same-seed replay diverged (failover sequence [{}] vs [{}])",
+            rep.failover_sequence, replay.failover_sequence
         ));
     }
-    if rep_stats.failovers == 0 {
-        violations.push(format!(
-            "replicated: killed primary of {rep_killed} never failed over"
-        ));
-    }
-    if rep_stats.recoveries == 0 {
-        violations.push(format!(
-            "replicated: demoted primary of {rep_killed} never recovered"
-        ));
-    }
-    let mut rep_killed_fresh_ratio = 0.0;
-    for o in &rep_out {
-        let fresh = o.responses.iter().filter(|r| r.rung == Rung::Fresh).count();
-        if o.name == rep_killed {
-            rep_killed_fresh_ratio = fresh as f64 / o.responses.len().max(1) as f64;
-        } else if fresh != o.responses.len() {
-            violations.push(format!(
-                "replicated: healthy shard {} served {} non-Fresh responses",
-                o.name,
-                o.responses.len() - fresh
-            ));
-        }
-    }
+    let rep_killed_fresh_ratio = fresh_count(&rep_killed.rung_sequence) as f64
+        / rep_killed.rung_sequence.len().max(1) as f64;
     if rep_killed_fresh_ratio < 0.9 {
         violations.push(format!(
-            "replicated: hedging + failover left only {:.0}% of {rep_killed} Fresh (want >= 90%)",
-            rep_killed_fresh_ratio * 100.0
+            "replicated: hedging + failover left only {:.0}% of {} Fresh (want >= 90%)",
+            rep_killed_fresh_ratio * 100.0,
+            rep_killed.name
         ));
     }
-    for name in rep_names {
-        if name == rep_killed {
-            continue;
-        }
-        let idx = rep_fleet.route(name).expect("replicated shard exists");
-        let healthy_failovers = rep_fleet
-            .with_replica_set(idx, |s| s.stats().failovers)
-            .expect("replicated shard exists");
-        if healthy_failovers != 0 {
-            violations.push(format!(
-                "replicated: healthy shard {name} failed over {healthy_failovers} times"
-            ));
-        }
-    }
+    let rep_stats = &rep_killed.stats;
     println!(
-        "serve_load: replicated — {rep_answered}/{} answered, shard {rep_killed}: {} failovers [{rep_seq}], {} hedges ({} wins), {} recoveries, {:.0}% Fresh, replay {}",
-        rep_load.len(),
+        "serve_load: replicated — {}/{} answered, shard {}: {} failovers [{}], {} hedges ({} wins), {} recoveries, {:.0}% Fresh, replay {}",
+        rep.answered,
+        rep.submitted,
+        rep_killed.name,
         rep_stats.failovers,
+        rep_stats.failover_sequence(),
         rep_stats.hedges_fired,
         rep_stats.hedge_wins,
         rep_stats.recoveries,
@@ -571,177 +421,26 @@ fn main() {
         }
     );
 
-    // Phase 5: recovery drill. A three-shard snapshot-enabled fleet
-    // serves half its ticks, crashes (dropped with no shutdown hook),
-    // and is rebuilt from the durable store: the restore must come
-    // back warm with every shard's first response on the restored
-    // LastGood rung. A second restart against a corrupted store must
-    // degrade to a clean cold start that still serves.
-    let drill_dir =
-        std::env::temp_dir().join(format!("gddr-serve-load-drill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&drill_dir);
-    let drill_names: [&str; 3] = ["cesnet", "abilene", "geant"];
-    let build_drill = || -> ShardRouter {
-        let mut router =
-            ShardRouter::new(fleet_config(coalesce, threads)).expect("fleet config is valid");
-        for (i, name) in drill_names.iter().enumerate() {
-            let graph = zoo::by_name(name).expect("zoo topology exists");
-            router
-                .add_shard(
-                    name,
-                    graph,
-                    DdrEnvConfig {
-                        memory: MEMORY,
-                        ..DdrEnvConfig::default()
-                    },
-                    controller_config(),
-                    gnn_factory(
-                        seed ^ (i as u64 + 21).wrapping_mul(0x9e3779b97f4a7c15),
-                        Arc::new(FaultPlan::new()),
-                    ),
-                )
-                .expect("unique shard name");
-        }
-        router
-    };
-    let drill_sizes: Vec<(String, usize)> = drill_names
+    // Phase 5: recovery drill. A snapshot-enabled fleet crashes
+    // half-way and restores warm, then restarts from a store with every
+    // record torn: a clean cold start that still serves.
+    let (warm, cold) = (&recovery.restarts[0], &recovery.restarts[1]);
+    let restore_ms = warm.restore_ns as f64 / 1e6;
+    let drill_first_rungs = recovery
+        .shards
         .iter()
-        .map(|n| (n.to_string(), zoo::by_name(n).unwrap().num_nodes()))
-        .collect();
-    let drill_tick_load = |tick: u64| -> Vec<FleetRequest> {
-        let mut batch = Vec::new();
-        for client in 0..2u64 {
-            for (i, (name, n)) in drill_sizes.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    (seed ^ 0xd811)
-                        ^ (tick << 24 | client << 8 | i as u64).wrapping_mul(0x100000001b3),
-                );
-                batch.push(FleetRequest {
-                    topology: name.clone(),
-                    request: gddr_serve::EpochRequest {
-                        epoch: tick,
-                        demands: bimodal(*n, &BimodalParams::default(), &mut rng),
-                        deadline_ms: DEADLINE_MS,
-                    },
-                });
-            }
-        }
-        batch
-    };
-    let drill_policy = SnapshotPolicy {
-        every_runs: 1,
-        warm_epochs: 2,
-    };
-    let drill_ticks = 8u64;
-    let mut drill_submitted = 0usize;
-    let mut drill_answered = 0usize;
-    let mut drill_pre = build_drill();
-    drill_pre
-        .enable_snapshots(&drill_dir, drill_policy.clone())
-        .expect("enable drill snapshots");
-    for tick in 0..drill_ticks / 2 {
-        let batch = drill_tick_load(tick);
-        drill_submitted += batch.len();
-        drill_answered += drill_pre
-            .run(&batch)
-            .expect("drill run")
-            .iter()
-            .map(|o| o.responses.len())
-            .sum::<usize>();
-    }
-    drop(drill_pre);
-    let mut drill_post = build_drill();
-    drill_post
-        .enable_snapshots(&drill_dir, drill_policy)
-        .expect("enable drill snapshots");
-    let restore_start = Instant::now();
-    let drill_report = drill_post.recover_from();
-    let restore_ms = restore_start.elapsed().as_secs_f64() * 1e3;
-    let (drill_warm, drill_generation) = match &drill_report {
-        RecoveryReport::Warm { generation, .. } => (true, *generation),
-        RecoveryReport::Cold { error } => {
-            violations.push(format!(
-                "recovery_drill: restart came back cold ({error}) with an intact snapshot"
-            ));
-            (false, 0)
-        }
-    };
-    let mut drill_first_rungs = String::new();
-    for tick in drill_ticks / 2..drill_ticks {
-        let batch = drill_tick_load(tick);
-        drill_submitted += batch.len();
-        let outs = drill_post.run(&batch).expect("drill continue");
-        if tick == drill_ticks / 2 {
-            for o in &outs {
-                match o.responses.first() {
-                    Some(r) if r.rung == Rung::LastGood => {}
-                    Some(r) => violations.push(format!(
-                        "recovery_drill: shard {} first post-restore rung {:?}, want LastGood",
-                        o.name, r.rung
-                    )),
-                    None => violations
-                        .push(format!("recovery_drill: shard {} answered nothing", o.name)),
-                }
-            }
-            drill_first_rungs = outs
-                .iter()
-                .map(|o| format!("{}:{}", o.name, o.rung_sequence()))
-                .collect::<Vec<_>>()
-                .join(";");
-        }
-        drill_answered += outs.iter().map(|o| o.responses.len()).sum::<usize>();
-    }
-    // Corruption leg: tear every committed record, then restart. The
-    // store must refuse (typed error, cold start) and the cold fleet
-    // must still serve — never from restored state.
-    for entry in std::fs::read_dir(&drill_dir).expect("read drill store") {
-        let path = entry.expect("drill store entry").path();
-        if path.extension().is_some_and(|e| e == "rec") {
-            let bytes = std::fs::read(&path).expect("read record");
-            std::fs::write(&path, &bytes[..bytes.len().min(10)]).expect("tear record");
-        }
-    }
-    let mut drill_cold = build_drill();
-    drill_cold
-        .enable_snapshots(
-            &drill_dir,
-            SnapshotPolicy {
-                every_runs: 1_000_000,
-                warm_epochs: 2,
-            },
-        )
-        .expect("enable drill snapshots");
-    let cold_report = drill_cold.recover_from();
-    let (corrupt_cold, cold_kind) = match &cold_report {
-        RecoveryReport::Cold { error } => (true, error.kind_name().to_string()),
-        RecoveryReport::Warm { generation, .. } => {
-            violations.push(format!(
-                "recovery_drill: corrupted store restored warm (generation {generation})"
-            ));
-            (false, String::new())
-        }
-    };
-    let cold_batch = drill_tick_load(drill_ticks);
-    drill_submitted += cold_batch.len();
-    let cold_outs = drill_cold.run(&cold_batch).expect("drill cold serve");
-    if cold_outs
-        .iter()
-        .flat_map(|o| &o.responses)
-        .any(|r| r.rung == Rung::LastGood)
-    {
-        violations.push("recovery_drill: cold start served restored state".to_string());
-    }
-    drill_answered += cold_outs.iter().map(|o| o.responses.len()).sum::<usize>();
-    if drill_answered != drill_submitted {
-        violations.push(format!(
-            "recovery_drill: {drill_submitted} submitted but {drill_answered} answered"
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&drill_dir);
+        .zip(&warm.first_tick)
+        .map(|(shard, rungs)| format!("{}:{rungs}", shard.name))
+        .collect::<Vec<_>>()
+        .join(";");
     println!(
-        "serve_load: recovery_drill — {} restore in {restore_ms:.1}ms (generation {drill_generation}), first rungs [{drill_first_rungs}], corrupt store {} ({cold_kind}), {drill_answered}/{drill_submitted} answered",
-        if drill_warm { "warm" } else { "COLD" },
-        if corrupt_cold { "cold-started" } else { "NOT refused" },
+        "serve_load: recovery_drill — {} restore in {restore_ms:.1}ms (generation {}), first rungs [{drill_first_rungs}], corrupt store {} ({}), {}/{} answered",
+        if warm.warm { "warm" } else { "COLD" },
+        warm.generation,
+        if cold.warm { "NOT refused" } else { "cold-started" },
+        cold.cold_kind,
+        recovery.answered,
+        recovery.submitted,
     );
 
     let _ = std::panic::take_hook();
@@ -752,7 +451,8 @@ fn main() {
     let mut postmortem_alerts = 0usize;
     if !recorder.has_dumped() {
         violations.push(format!(
-            "chaos: killed shard {killed} never tripped an slo_alert postmortem"
+            "chaos: killed shard {} never tripped an slo_alert postmortem",
+            killed.name
         ));
     } else {
         let text = std::fs::read_to_string(&postmortem).expect("read postmortem");
@@ -827,31 +527,37 @@ fn main() {
         (
             "chaos",
             Json::obj([
-                ("killed_shard", Json::Str(killed.to_string())),
+                ("killed_shard", Json::Str(killed.name.clone())),
                 ("killed_degraded", Json::Num(killed_degraded as f64)),
-                ("killed_responses", Json::Num(killed_total as f64)),
+                (
+                    "killed_responses",
+                    Json::Num(killed.rung_sequence.len() as f64),
+                ),
                 (
                     "killed_unhealthy",
-                    Json::Bool(killed_health != HealthState::Healthy),
+                    Json::Bool(killed.health != HealthState::Healthy),
                 ),
                 (
                     "healthy_shards_stayed_fresh",
-                    Json::Bool(violations.iter().all(|v| !v.contains("blast radius"))),
+                    Json::Bool(blast.violations.iter().all(|v| !v.contains("bystander"))),
                 ),
             ]),
         ),
         (
             "replicated",
             Json::obj([
-                ("shards", Json::Num(rep_names.len() as f64)),
+                ("shards", Json::Num(rep.shards.len() as f64)),
                 ("replicas_per_shard", Json::Num(2.0)),
-                ("answered", Json::Num(rep_answered as f64)),
-                ("killed_shard", Json::Str(rep_killed.to_string())),
+                ("answered", Json::Num(rep.answered as f64)),
+                ("killed_shard", Json::Str(rep_killed.name.clone())),
                 ("failovers", Json::Num(rep_stats.failovers as f64)),
                 ("hedges_fired", Json::Num(rep_stats.hedges_fired as f64)),
                 ("hedge_wins", Json::Num(rep_stats.hedge_wins as f64)),
                 ("recoveries", Json::Num(rep_stats.recoveries as f64)),
-                ("failover_sequence", Json::Str(rep_seq.clone())),
+                (
+                    "failover_sequence",
+                    Json::Str(rep_stats.failover_sequence()),
+                ),
                 ("deterministic", Json::Bool(rep_deterministic)),
                 ("killed_fresh_ratio", Json::Num(rep_killed_fresh_ratio)),
             ]),
@@ -859,14 +565,14 @@ fn main() {
         (
             "recovery_drill",
             Json::obj([
-                ("warm", Json::Bool(drill_warm)),
-                ("generation", Json::Num(drill_generation as f64)),
+                ("warm", Json::Bool(warm.warm)),
+                ("generation", Json::Num(warm.generation as f64)),
                 ("restore_ms", Json::Num(restore_ms)),
                 ("first_rungs", Json::Str(drill_first_rungs.clone())),
-                ("corrupt_cold", Json::Bool(corrupt_cold)),
-                ("cold_kind", Json::Str(cold_kind.clone())),
-                ("submitted", Json::Num(drill_submitted as f64)),
-                ("answered", Json::Num(drill_answered as f64)),
+                ("corrupt_cold", Json::Bool(!cold.warm)),
+                ("cold_kind", Json::Str(cold.cold_kind.to_string())),
+                ("submitted", Json::Num(recovery.submitted as f64)),
+                ("answered", Json::Num(recovery.answered as f64)),
             ]),
         ),
         (

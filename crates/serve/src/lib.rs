@@ -25,10 +25,6 @@
 //!   overload; shed requests are still answered from the ladder,
 //! - [`health`] — Starting/Healthy/Degraded/Unhealthy, derived after
 //!   every response and streamed as telemetry,
-//! - [`chaos`] — seeded fault scenarios (worker panics, oracle pivot
-//!   storms, slow inference, malformed matrices, queue overload,
-//!   link failures, hangs) with SLO checks, driven by the
-//!   `chaos_harness` bench binary,
 //! - [`fleet`] — a sharded multi-topology router: one supervised
 //!   controller per topology, same-tick requests coalesced into a
 //!   single batched GNN forward pass (bit-identical to per-request
@@ -46,7 +42,16 @@
 //!   [`ShardRouter::recover_from`] warm-restarts the fleet so its
 //!   first responses ride the restored LastGood rung; any corruption
 //!   (torn write, bit flip, lying manifest) degrades to a clean cold
-//!   start with a typed error — never a panic, never corrupt routing.
+//!   start with a typed error — never a panic, never corrupt routing,
+//! - [`scenario`] — every chaos drill as one data-only
+//!   [`ScenarioSpec`] (shards with per-replica fault plans, traffic,
+//!   bursts, a [`DynamicsPlan`] of link flaps, drains and rolling
+//!   retools, crash-and-restart points with store damage, declarative
+//!   gates), a table of named specs tagged `controller`,
+//!   `replication`, `dynamics`, `recovery` or `fleet`, and one
+//!   [`scenario::run`] that serves any of them through a
+//!   [`ShardRouter`]. Every scenario's digests are pinned in a golden
+//!   file; the `chaos_harness` bench binary drives them.
 //!
 //! Observability is request-scoped: the fleet mints a
 //! `gddr_telemetry::TraceCtx` per admitted request, the controller
@@ -61,11 +66,10 @@
 //! Determinism is load-bearing: all rung-affecting decisions use
 //! logical time (serving epochs and engine-reported costs), so a
 //! scenario's rung sequence is a pure function of its seed — the
-//! chaos harness replays every scenario twice and asserts the
-//! sequences are bit-identical.
+//! chaos harness replays every scenario twice, asserts the sequences
+//! are bit-identical, and checks them against the golden file.
 
 pub mod breaker;
-pub mod chaos;
 pub mod controller;
 pub mod engine;
 pub mod fleet;
@@ -78,11 +82,6 @@ pub mod snapshot;
 pub mod worker;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use chaos::{
-    recovery_scenario_names, replication_scenario_names, run_recovery_scenario,
-    run_replication_scenario, run_scenario, scenario_names, scenario_seed, MaintenanceAction,
-    MaintenancePlan, ScenarioOutcome,
-};
 pub use controller::{Controller, ControllerConfig, ServeStats};
 pub use engine::{
     BatchItem, ChaosEngine, EngineFactory, Fault, FaultPlan, InferenceEngine, PolicyEngine,
@@ -97,7 +96,7 @@ pub use replica::{
 };
 pub use request::{EpochRequest, RouteResponse, Rung, ServeError, DEFAULT_DEADLINE_MS};
 pub use scenario::{
-    dynamic_scenario_names, run_dynamic_scenario, DynamicsEvent, DynamicsPlan, DynamicsTimeline,
-    ScenarioError, TickActions, MAX_HORIZON,
+    scenario_seed, DynamicsEvent, DynamicsPlan, DynamicsTimeline, ScenarioError, ScenarioOutcome,
+    ScenarioSpec, TickActions, MAX_HORIZON,
 };
 pub use worker::{ExecMode, PoolConfig, WorkerPool};
