@@ -1,7 +1,8 @@
 //! Fleet load bench: a sharded multi-topology serving fleet under a
 //! sustained request stream, with batched GNN inference.
 //!
-//! Five phases, all checked:
+//! Five phases, all checked (3-5 are the `fleet`-tagged scenarios of
+//! `gddr_serve::scenario`, run on this bench's fleet settings):
 //!
 //! 1. **load** — ≥100k requests across ≥10 zoo-topology shards,
 //!    reporting sustained req/s and p50/p99 drain latency per ladder
@@ -52,7 +53,7 @@ use gddr_rng::SeedableRng;
 use gddr_ser::Json;
 use gddr_serve::{
     scenario, ControllerConfig, EngineFactory, FleetConfig, FleetRequest, HealthState,
-    InferenceEngine, PolicyEngine, Rung, ScenarioSpec, ShardOutcome, ShardRouter,
+    InferenceEngine, PolicyEngine, Rung, ScenarioSpec, ShardOutcome, ShardRouter, ShardSpec,
 };
 use gddr_telemetry::{bucket_width, FlightRecorder, JsonlSink, LogHistogram, Sink, TeeSink};
 use gddr_traffic::gen::{bimodal, BimodalParams};
@@ -352,10 +353,8 @@ fn main() {
     }
     // The shard with injected faults: the one the drill kills.
     let faulted = |spec: &ScenarioSpec| {
-        spec.shards
-            .iter()
-            .position(|s| s.replicas.iter().any(|r| r.faults.last_epoch().is_some()))
-            .expect("drill injects faults")
+        let killed = spec.shards.iter().position(ShardSpec::has_faults);
+        killed.expect("drill injects faults")
     };
     let fresh_count = |rungs: &str| rungs.chars().filter(|&c| c == Rung::Fresh.letter()).count();
 

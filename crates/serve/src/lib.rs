@@ -97,6 +97,6 @@ pub use replica::{
 pub use request::{EpochRequest, RouteResponse, Rung, ServeError, DEFAULT_DEADLINE_MS};
 pub use scenario::{
     scenario_seed, DynamicsEvent, DynamicsPlan, DynamicsTimeline, ScenarioError, ScenarioOutcome,
-    ScenarioSpec, TickActions, MAX_HORIZON,
+    ScenarioSpec, ShardSpec, TickActions, MAX_HORIZON,
 };
 pub use worker::{ExecMode, PoolConfig, WorkerPool};

@@ -720,7 +720,8 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    fn has_faults(&self) -> bool {
+    /// Whether any replica's engines inject faults.
+    pub fn has_faults(&self) -> bool {
         self.replicas
             .iter()
             .any(|r| r.faults.last_epoch().is_some())
@@ -1010,11 +1011,11 @@ fn faults(epochs: &[u64], fault: Fault) -> FaultPlan {
         .fold(FaultPlan::new(), |plan, &e| plan.at(e, fault.clone()))
 }
 
-fn panics(epochs: std::ops::RangeInclusive<u64>) -> FaultPlan {
+fn panics(epochs: RangeInclusive<u64>) -> FaultPlan {
     FaultPlan::new().span(epochs, Fault::Panic)
 }
 
-fn slow(epochs: std::ops::RangeInclusive<u64>, cost_ms: u64) -> FaultPlan {
+fn slow(epochs: RangeInclusive<u64>, cost_ms: u64) -> FaultPlan {
     FaultPlan::new().span(epochs, Fault::Slow { cost_ms })
 }
 
@@ -1610,6 +1611,12 @@ impl<'a> Run<'a> {
         }
         let requests = requests.max(spec.min_requests);
         let ticks = spec.ticks(requests);
+        if let Some(late) = spec.restarts.iter().find(|r| r.at == 0 || r.at >= ticks) {
+            return Err(ServeError::Config(format!(
+                "restart at tick {} falls outside ticks 1..{ticks}",
+                late.at
+            )));
+        }
         let graphs = spec
             .shards
             .iter()
@@ -2456,8 +2463,15 @@ mod tests {
         let seed = scenario_seed(42, spec.name);
         let mut digests = Vec::new();
         for _ in 0..20 {
+            // Both runs start together, so their store lifetimes overlap.
+            let start = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
-                let pair = [(); 2].map(|_| scope.spawn(|| run(&spec, seed, 48).unwrap()));
+                let pair = [(); 2].map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        run(&spec, seed, 48).unwrap()
+                    })
+                });
                 for handle in pair {
                     let o = handle.join().unwrap();
                     assert!(o.passed(), "violations: {:?}", o.violations);

@@ -45,12 +45,13 @@ case "$LEG" in
       | tee "$ART/robustness_sweep.csv"
     ;;
   chaos)
-    # Serving SLOs under seeded faults, then validate the serve-mode
+    # Single-controller serving SLOs under seeded faults (the
+    # `controller`-tagged scenarios), then validate the serve-mode
     # telemetry trace (shard-tagged events round-trip). budget_zero
     # burns its error budget, so the flight recorder must leave an
     # slo_alert postmortem behind — uploaded with the artifacts.
     run chaos_harness -- \
-      --scenario all --seed 42 --requests 48 \
+      --scenario controller --seed 42 --requests 48 \
       --out "$ART/chaos_report.json" --telemetry "$ART/chaos_events.jsonl" \
       --postmortem "$ART/chaos_postmortem.jsonl"
     run telemetry_check -- --file "$ART/chaos_events.jsonl" --mode serve
