@@ -1,1332 +1,55 @@
-//! Seeded chaos scenarios for the serving controller.
-//!
-//! Each scenario builds a controller, drives a scripted request load
-//! with injected faults, and checks serving SLOs:
-//!
-//! - **zero unanswered** — every submitted request gets exactly one
-//!   rung-tagged response,
-//! - **validity** — every response's routing validates against the
-//!   topology active when it was served,
-//! - **bounded degradation** — the p99 ladder depth stays within the
-//!   scenario's bound,
-//! - **recovery** — after the last injected fault, a fresh response
-//!   appears within a bounded number of requests.
-//!
-//! Scenarios are pure functions of `(name, seed, requests)`: running
-//! one twice must produce bit-identical rung sequences, which the
-//! chaos harness asserts.
-//!
-//! Replication scenarios ([`run_replication_scenario`]) drive a
-//! [`ReplicaSet`] instead of a bare controller, adding failover,
-//! hedged dispatch and recovery checks, and a [`MaintenancePlan`]
-//! of live topology mutations (link flaps, capacity drains, rolling
-//! per-replica retools) applied while serving. Their determinism
-//! digest extends to the failover sequence.
-//!
-//! Recovery scenarios ([`run_recovery_scenario`]) crash a
-//! snapshot-enabled fleet mid-serve and restart it from the durable
-//! store, injecting torn writes, bit flips, and lying manifests
-//! between crash and restart. Warm restores must resume on the
-//! restored LastGood rung; damaged stores must degrade to a clean
-//! cold start with a typed error.
+//! Per-tag behaviour tests for the `controller`, `replication` and
+//! `recovery` scenarios of [`crate::scenario`]: each named drill passes,
+//! answers every request and replays bit-identically under its seed,
+//! and each tag selects only its own scenarios.
 
-use std::sync::Arc;
-
-use gddr_core::{DdrEnvConfig, FailureInjector, MlpPolicy};
-use gddr_net::topology::zoo;
-use gddr_net::Graph;
-use gddr_rng::rngs::StdRng;
-use gddr_rng::SeedableRng;
-use gddr_traffic::gen::{bimodal, BimodalParams};
-use gddr_traffic::DemandMatrix;
-
-use gddr_net::graph::EdgeId;
-
-use gddr_store::Store;
-
-use crate::controller::{Controller, ControllerConfig};
-use crate::engine::{ChaosEngine, EngineFactory, Fault, FaultPlan, InferenceEngine, PolicyEngine};
-use crate::fleet::{FleetConfig, FleetRequest, RecoveryReport, ShardRouter, SnapshotPolicy};
-use crate::replica::{FailoverConfig, HedgeConfig, ReplicaSet};
-use crate::request::{EpochRequest, RouteResponse, Rung, ServeError, DEFAULT_DEADLINE_MS};
-use crate::worker::ExecMode;
-
-/// Memory length used by every chaos scenario's policy.
-const MEMORY: usize = 3;
-
-/// The outcome of one scenario run.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// Scenario name.
-    pub name: String,
-    /// Seed the scenario ran with.
-    pub seed: u64,
-    /// Requests submitted.
-    pub submitted: usize,
-    /// Responses received.
-    pub answered: usize,
-    /// One letter per response, in order (`F`/`L`/`E`/`S`) — the
-    /// determinism digest.
-    pub rung_sequence: String,
-    /// Requests shed (still answered).
-    pub shed: u64,
-    /// Worker restarts performed.
-    pub worker_restarts: u64,
-    /// Breaker state changes.
-    pub breaker_transitions: u64,
-    /// 99th-percentile ladder depth over all responses.
-    pub p99_depth: u8,
-    /// Primary failovers performed (replication scenarios; 0 for the
-    /// single-controller scenarios).
-    pub failovers: u64,
-    /// Hedged batch dispatches fired (replication scenarios).
-    pub hedges: u64,
-    /// Replicas recovered through a shadow-probe window (replication
-    /// scenarios).
-    pub recoveries: u64,
-    /// Failover/recovery transition digest (`0>1@24;^0@56`), part of
-    /// the determinism check alongside the rung sequence. Empty for
-    /// single-controller scenarios.
-    pub failover_sequence: String,
-    /// Applied dynamics-event digest (`flap2@5;repair@9;drain0.50@13`),
-    /// part of the determinism check for dynamic scenarios
-    /// ([`crate::scenario::run_dynamic_scenario`]). Empty for static
-    /// scenarios.
-    pub event_sequence: String,
-    /// SLO violations (empty = pass).
-    pub violations: Vec<String>,
-}
-
-impl ScenarioOutcome {
-    /// Whether every SLO held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-struct ScenarioSpec {
-    graph: Graph,
-    config: ControllerConfig,
-    plan: FaultPlan,
-    /// Forced oracle failures to inject before serving.
-    pivot_faults: u64,
-    /// Request indices at which a burst of `burst_size` extra
-    /// requests is enqueued before draining.
-    burst_at: Vec<usize>,
-    burst_size: usize,
-    /// Request index at which link failures degrade the topology.
-    topology_change_at: Option<usize>,
-    /// Request indices whose demands are replaced with malformed
-    /// matrices (NaN / wrong size / zero deadline).
-    malformed: Vec<(usize, Malformed)>,
-    /// Requests after the last fault within which a fresh response
-    /// must appear (None = no recovery SLO).
-    recovery_within: Option<usize>,
-    /// Last request index at which a fault can fire.
-    last_fault_at: Option<usize>,
-    /// Maximum allowed p99 ladder depth.
-    max_p99_depth: u8,
-}
-
-#[derive(Clone, Copy)]
-enum Malformed {
-    /// An infinite demand entry (NaN is unconstructible in-tree:
-    /// `DemandMatrix::from_fn` clamps it away).
-    NonFinite,
-    /// A zero-node matrix.
-    Empty,
-    /// Node count disagrees with the graph.
-    WrongSize,
-    /// No inference budget at all.
-    ZeroDeadline,
-}
-
-/// Scenario names the harness can run. `budget_zero` is the
-/// deliberately broken scenario: its SLOs must fail, proving the
-/// harness can detect violations.
-pub fn scenario_names() -> &'static [&'static str] {
-    &[
-        "healthy",
-        "worker_panic",
-        "oracle_storm",
-        "slow_inference",
-        "malformed",
-        "overload_burst",
-        "link_failure",
-        "hang",
-        "budget_zero",
-    ]
-}
-
-pub(crate) fn base_config() -> ControllerConfig {
-    let mut config = ControllerConfig::default();
-    config.pool.workers = 2;
-    config.pool.restart_budget = 4;
-    config.pool.backoff_base_epochs = 1;
-    config
-}
-
-fn spec_for(name: &str, requests: usize) -> Result<ScenarioSpec, ServeError> {
-    let graph = zoo::cesnet();
-    let mut spec = ScenarioSpec {
-        graph,
-        config: base_config(),
-        plan: FaultPlan::new(),
-        pivot_faults: 0,
-        burst_at: Vec::new(),
-        burst_size: 0,
-        topology_change_at: None,
-        malformed: Vec::new(),
-        recovery_within: Some(10),
-        last_fault_at: None,
-        max_p99_depth: 2,
-    };
-    match name {
-        "healthy" => {
-            spec.recovery_within = None;
-            spec.max_p99_depth = 0;
-        }
-        "worker_panic" => {
-            spec.plan = FaultPlan::new()
-                .at(10, Fault::Panic)
-                .at(12, Fault::Panic)
-                .at(14, Fault::Panic)
-                .at(16, Fault::Panic);
-            spec.last_fault_at = Some(16);
-        }
-        "oracle_storm" => {
-            spec.pivot_faults = 5;
-            // Scoring failures never degrade the rung, so the ladder
-            // stays fresh throughout.
-            spec.max_p99_depth = 0;
-            spec.last_fault_at = Some(2);
-        }
-        "slow_inference" => {
-            spec.plan = FaultPlan::new().span(10..=20, Fault::Slow { cost_ms: 99 });
-            spec.last_fault_at = Some(20);
-        }
-        "malformed" => {
-            spec.malformed = vec![
-                (10, Malformed::NonFinite),
-                (13, Malformed::Empty),
-                (16, Malformed::WrongSize),
-                (18, Malformed::ZeroDeadline),
-            ];
-            spec.last_fault_at = Some(18);
-        }
-        "overload_burst" => {
-            spec.config.queue_capacity = 4;
-            spec.burst_at = vec![15, 30];
-            spec.burst_size = 10;
-            spec.last_fault_at = Some(30);
-        }
-        "link_failure" => {
-            spec.topology_change_at = Some(15);
-            spec.last_fault_at = Some(15);
-        }
-        "hang" => {
-            spec.config.pool.mode = ExecMode::Threaded;
-            spec.config.pool.hang_timeout_ms = 60;
-            spec.plan = FaultPlan::new()
-                .at(10, Fault::Hang { sleep_ms: 400 })
-                .at(20, Fault::Hang { sleep_ms: 400 });
-            spec.last_fault_at = Some(20);
-        }
-        "budget_zero" => {
-            // Deliberately broken: no restart budget, panic storm.
-            // The pool dies, no fresh response ever returns, and the
-            // recovery SLO fails loudly.
-            spec.config.pool.workers = 1;
-            spec.config.pool.restart_budget = 0;
-            spec.plan = FaultPlan::new().span(10..=4096, Fault::Panic);
-            spec.last_fault_at = Some(12);
-            spec.recovery_within = Some(10);
-        }
-        other => return Err(ServeError::Config(format!("unknown scenario '{other}'"))),
-    }
-    if requests < 40 {
-        return Err(ServeError::Config(
-            "chaos scenarios need at least 40 requests".to_string(),
-        ));
-    }
-    Ok(spec)
-}
-
-pub(crate) fn engine_factory(seed: u64, plan: Arc<FaultPlan>) -> EngineFactory {
-    engine_factory_sized(seed, plan, MEMORY, vec![8])
-}
-
-/// [`engine_factory`] with explicit memory and hidden-layer sizes —
-/// the big-WAN dynamic scenarios shrink both so a 400-node policy
-/// stays a few megabytes instead of tens.
-pub(crate) fn engine_factory_sized(
-    seed: u64,
-    plan: Arc<FaultPlan>,
-    memory: usize,
-    hidden: Vec<usize>,
-) -> EngineFactory {
-    Arc::new(move |graph: &Graph| {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b97f4a7c15);
-        let policy = MlpPolicy::new(
-            memory,
-            graph.num_nodes(),
-            graph.num_edges(),
-            &hidden,
-            -0.5,
-            &mut rng,
-        );
-        let engine = PolicyEngine::new(policy, graph, memory);
-        Box::new(ChaosEngine::new(engine, Arc::clone(&plan))) as Box<dyn InferenceEngine>
-    })
-}
-
-fn make_request(
-    index: u64,
-    n: usize,
-    rng: &mut StdRng,
-    malformed: Option<Malformed>,
-) -> EpochRequest {
-    let demands = bimodal(n, &BimodalParams::default(), rng);
-    match malformed {
-        None => EpochRequest {
-            epoch: index,
-            demands,
-            deadline_ms: DEFAULT_DEADLINE_MS,
-        },
-        Some(Malformed::NonFinite) => EpochRequest {
-            epoch: index,
-            demands: DemandMatrix::from_fn(n, |s, d| {
-                if s == 0 && d == 1 {
-                    f64::INFINITY
-                } else {
-                    demands.get(s, d)
-                }
-            }),
-            deadline_ms: DEFAULT_DEADLINE_MS,
-        },
-        Some(Malformed::Empty) => EpochRequest {
-            epoch: index,
-            demands: DemandMatrix::zeros(0),
-            deadline_ms: DEFAULT_DEADLINE_MS,
-        },
-        Some(Malformed::WrongSize) => EpochRequest {
-            epoch: index,
-            demands: DemandMatrix::zeros(n + 3),
-            deadline_ms: DEFAULT_DEADLINE_MS,
-        },
-        Some(Malformed::ZeroDeadline) => EpochRequest {
-            epoch: index,
-            demands,
-            deadline_ms: 0,
-        },
-    }
-}
-
-pub(crate) fn p99_depth(depths: &[u8]) -> u8 {
-    if depths.is_empty() {
-        return 0;
-    }
-    let mut sorted = depths.to_vec();
-    sorted.sort_unstable();
-    let idx = ((sorted.len() as f64) * 0.99).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-/// Runs one scenario to completion and evaluates its SLOs.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Config`] for unknown scenario names or
-/// unusable request counts; SLO failures are reported in
-/// [`ScenarioOutcome::violations`], not as `Err`.
-pub fn run_scenario(name: &str, seed: u64, requests: usize) -> Result<ScenarioOutcome, ServeError> {
-    let spec = spec_for(name, requests)?;
-    let plan = Arc::new(spec.plan.clone());
-    let factory = engine_factory(seed, Arc::clone(&plan));
-    let mut controller = Controller::new(
-        spec.graph.clone(),
-        DdrEnvConfig {
-            memory: MEMORY,
-            ..DdrEnvConfig::default()
-        },
-        spec.config.clone(),
-        factory,
-    );
-    if spec.pivot_faults > 0 {
-        controller.oracle().inject_pivot_limit(spec.pivot_faults);
-    }
-
-    let n = spec.graph.num_nodes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut injector = FailureInjector::from_seed(2, seed ^ 0xabcd);
-
-    let mut submitted: u64 = 0;
-    let mut responses: Vec<RouteResponse> = Vec::new();
-    // Graph generation active when each response was served, so
-    // validity is checked against the right topology.
-    let mut active_graph = spec.graph.clone();
-    let mut invalid_on_serve = 0usize;
-
-    fn check_valid(resp: &RouteResponse, graph: &Graph) -> usize {
-        usize::from(!resp.routing.validate(graph).is_empty())
-    }
-
-    for i in 0..requests {
-        if spec.topology_change_at == Some(i) {
-            let (degraded, _dropped) = injector.degrade(&spec.graph);
-            controller.apply_topology(degraded.clone())?;
-            active_graph = degraded;
-        }
-        let malformed = spec
-            .malformed
-            .iter()
-            .find(|(at, _)| *at == i)
-            .map(|(_, kind)| *kind);
-        let extra = if spec.burst_at.contains(&i) {
-            spec.burst_size
-        } else {
-            0
-        };
-        // The main request plus any burst, enqueued together before
-        // draining so the bounded queue actually overflows.
-        let mut batch = Vec::new();
-        batch.push(make_request(submitted, n, &mut rng, malformed));
-        submitted += 1;
-        for _ in 0..extra {
-            batch.push(make_request(submitted, n, &mut rng, None));
-            submitted += 1;
-        }
-        for req in batch {
-            for resp in controller.enqueue(req) {
-                invalid_on_serve += check_valid(&resp, &active_graph);
-                responses.push(resp);
-            }
-        }
-        while let Some(resp) = controller.process_next() {
-            invalid_on_serve += check_valid(&resp, &active_graph);
-            responses.push(resp);
-        }
-    }
-
-    let rung_sequence: String = responses.iter().map(|r| r.rung.letter()).collect();
-    let depths: Vec<u8> = responses.iter().map(|r| r.rung.depth()).collect();
-    let p99 = p99_depth(&depths);
-    let stats = controller.stats().clone();
-
-    let mut violations = Vec::new();
-    if responses.len() != submitted as usize {
-        violations.push(format!(
-            "unanswered requests: submitted {submitted}, answered {}",
-            responses.len()
-        ));
-    }
-    if invalid_on_serve > 0 {
-        violations.push(format!(
-            "{invalid_on_serve} responses carried routings invalid for the active topology"
-        ));
-    }
-    if p99 > spec.max_p99_depth {
-        violations.push(format!(
-            "p99 ladder depth {p99} exceeds bound {}",
-            spec.max_p99_depth
-        ));
-    }
-    if let (Some(within), Some(last_fault)) = (spec.recovery_within, spec.last_fault_at) {
-        // Among the first `within` responses served after the fault
-        // window closes, at least one must be fresh.
-        let recovered = responses
-            .iter()
-            .filter(|r| r.epoch > last_fault as u64)
-            .take(within)
-            .any(|r| r.rung == Rung::Fresh);
-        if !recovered {
-            violations.push(format!(
-                "no fresh response within {within} requests after the last fault (request {last_fault})"
-            ));
-        }
-    }
-    if name == "oracle_storm" {
-        if stats.breaker_transitions < 3 {
-            violations.push(format!(
-                "breaker saw only {} transitions during the storm",
-                stats.breaker_transitions
-            ));
-        }
-        if controller.breaker_state() != crate::breaker::BreakerState::Closed {
-            violations.push("breaker failed to close after the storm".to_string());
-        }
-    }
-    if name == "overload_burst" && stats.shed == 0 {
-        violations.push("overload burst shed nothing (queue bound not exercised)".to_string());
-    }
-    if name == "worker_panic" && stats.fresh == 0 {
-        violations.push("no fresh responses at all during worker_panic".to_string());
-    }
-
-    Ok(ScenarioOutcome {
-        name: name.to_string(),
-        seed,
-        submitted: submitted as usize,
-        answered: responses.len(),
-        rung_sequence,
-        shed: stats.shed,
-        worker_restarts: controller.worker_restarts(),
-        breaker_transitions: stats.breaker_transitions,
-        p99_depth: p99,
-        failovers: 0,
-        hedges: 0,
-        recoveries: 0,
-        failover_sequence: String::new(),
-        event_sequence: String::new(),
-        violations,
-    })
-}
-
-/// One live-maintenance mutation applied to a serving replica set at a
-/// scheduled tick.
-#[derive(Debug, Clone)]
-pub enum MaintenanceAction {
-    /// Degrade the base topology with seeded connectivity-preserving
-    /// link failures ([`FailureInjector`]), restoring the base graph
-    /// `restore_after` ticks later.
-    LinkFlap {
-        /// Ticks until the base topology is restored.
-        restore_after: usize,
-    },
-    /// Scale every link capacity of the active topology by `factor`,
-    /// restoring the base graph `restore_after` ticks later.
-    CapacityDrain {
-        /// Multiplier applied to every capacity (e.g. `0.5`).
-        factor: f64,
-        /// Ticks until the base topology is restored.
-        restore_after: usize,
-    },
-    /// Rebuild one replica's engines, oracle and baselines in place
-    /// while the rest of the set keeps serving.
-    RetoolReplica {
-        /// The replica to retool.
-        replica: usize,
-    },
-}
-
-/// A schedule of [`MaintenanceAction`]s keyed by tick, fed through the
-/// replication scenarios while traffic is being served. Mutations are
-/// seeded (the link flap draws from the scenario's
-/// [`FailureInjector`]), so a maintenance run is as replayable as the
-/// fault plans it accompanies.
-#[derive(Debug, Clone, Default)]
-pub struct MaintenancePlan {
-    actions: Vec<(usize, MaintenanceAction)>,
-}
-
-impl MaintenancePlan {
-    /// An empty plan.
-    pub fn new() -> Self {
-        MaintenancePlan::default()
-    }
-
-    /// Schedules `action` at `tick`.
-    #[must_use]
-    pub fn at(mut self, tick: usize, action: MaintenanceAction) -> Self {
-        self.actions.push((tick, action));
-        self
-    }
-
-    /// Actions due at `tick`, in insertion order.
-    fn due(&self, tick: usize) -> impl Iterator<Item = &MaintenanceAction> {
-        self.actions
-            .iter()
-            .filter(move |(at, _)| *at == tick)
-            .map(|(_, a)| a)
-    }
-}
-
-struct ReplicationSpec {
-    graph: Graph,
-    config: ControllerConfig,
-    /// One fault plan per replica.
-    plans: Vec<FaultPlan>,
-    failover: FailoverConfig,
-    hedge: HedgeConfig,
-    clients_per_tick: usize,
-    /// Ticks at which `burst_size` extra same-tick requests arrive.
-    burst_at: Vec<usize>,
-    burst_size: usize,
-    maintenance: MaintenancePlan,
-    min_failovers: u64,
-    max_failovers: u64,
-    min_hedges: u64,
-    min_recoveries: u64,
-    expect_shed: bool,
-    /// `(k, ratio)`: within the `k` responses following the first
-    /// failover, at least `ratio` must be fresh.
-    fresh_recovery: Option<(usize, f64)>,
-    max_p99_depth: u8,
-}
-
-/// Replication scenario names [`run_replication_scenario`] accepts.
-/// `replicas_exhausted` is the deliberately broken one: every replica
-/// dies, no failover target remains, and the fresh-recovery SLO must
-/// fail — proving the harness detects replication-level violations.
-pub fn replication_scenario_names() -> &'static [&'static str] {
-    &[
-        "primary_kill_failover",
-        "hedged_straggler",
-        "rolling_retool",
-        "flapping_replica",
-        "replicas_exhausted",
-    ]
-}
-
-fn replication_spec_for(name: &str, requests: usize) -> Result<ReplicationSpec, ServeError> {
-    let mut spec = ReplicationSpec {
-        graph: zoo::cesnet(),
-        config: base_config(),
-        plans: vec![FaultPlan::new(), FaultPlan::new()],
-        failover: FailoverConfig {
-            failover_threshold: 4,
-            min_hold: 8,
-            hold_jitter: 4,
-            probe_window: 6,
-            probe_fresh_min: 0.75,
-            seed: 0,
-        },
-        hedge: HedgeConfig::default(),
-        clients_per_tick: 2,
-        burst_at: Vec::new(),
-        burst_size: 0,
-        maintenance: MaintenancePlan::new(),
-        min_failovers: 0,
-        max_failovers: u64::MAX,
-        min_hedges: 0,
-        min_recoveries: 0,
-        expect_shed: false,
-        fresh_recovery: None,
-        max_p99_depth: 2,
-    };
-    match name {
-        "primary_kill_failover" => {
-            // The primary's pool dies mid-run; the standby must take
-            // over with zero unanswered requests and the fresh ratio
-            // back above 90% within 20 responses of the failover.
-            spec.config.pool.workers = 1;
-            spec.config.pool.restart_budget = 1;
-            spec.plans[0] = FaultPlan::new().span(10..=14, Fault::Panic);
-            spec.min_failovers = 1;
-            spec.min_recoveries = 1;
-            spec.fresh_recovery = Some((20, 0.9));
-        }
-        "hedged_straggler" => {
-            // The primary stays fresh but straggles (logical 30ms per
-            // reply, under the deadline): hedging must re-issue to the
-            // standby and win, with no failover — a slow-but-correct
-            // primary is not a failed one.
-            spec.plans[0] = FaultPlan::new().span(10..=25, Fault::Slow { cost_ms: 30 });
-            spec.hedge = HedgeConfig {
-                enabled: true,
-                threshold_ms: 20,
-            };
-            spec.min_hedges = 10;
-            spec.max_failovers = 0;
-            spec.max_p99_depth = 0;
-        }
-        "rolling_retool" => {
-            // Live maintenance under traffic: a link flap, a rolling
-            // per-replica retool, and a capacity drain, plus an
-            // overload burst and a slow-inference window — all while
-            // failover is pinned off (threshold out of reach) so the
-            // set must absorb everything in place.
-            spec.plans = vec![FaultPlan::new(), FaultPlan::new(), FaultPlan::new()];
-            for plan in &mut spec.plans {
-                *plan = FaultPlan::new().span(14..=15, Fault::Slow { cost_ms: 99 });
-            }
-            spec.config.queue_capacity = 4;
-            spec.burst_at = vec![8];
-            spec.burst_size = 10;
-            spec.failover.failover_threshold = 1_000;
-            spec.maintenance = MaintenancePlan::new()
-                .at(5, MaintenanceAction::LinkFlap { restore_after: 4 })
-                .at(10, MaintenanceAction::RetoolReplica { replica: 0 })
-                .at(11, MaintenanceAction::RetoolReplica { replica: 1 })
-                .at(12, MaintenanceAction::RetoolReplica { replica: 2 })
-                .at(
-                    13,
-                    MaintenanceAction::CapacityDrain {
-                        factor: 0.5,
-                        restore_after: 3,
-                    },
-                );
-            spec.max_failovers = 0;
-            spec.expect_shed = true;
-        }
-        "flapping_replica" => {
-            // Each replica fails in turn: the role must ping-pong
-            // deterministically (0 -> 1 -> 0) with hysteresis holding
-            // between swaps, and demoted replicas must re-earn
-            // eligibility through their probe windows.
-            spec.config.pool.workers = 1;
-            spec.config.pool.restart_budget = 1;
-            spec.plans[0] = FaultPlan::new().span(8..=11, Fault::Panic);
-            spec.plans[1] = FaultPlan::new().span(18..=21, Fault::Panic);
-            spec.failover.failover_threshold = 2;
-            spec.failover.min_hold = 4;
-            spec.failover.hold_jitter = 2;
-            spec.failover.probe_window = 4;
-            spec.min_failovers = 2;
-            spec.min_recoveries = 1;
-        }
-        "replicas_exhausted" => {
-            // Deliberately broken: every replica's pool dies with no
-            // restart budget, shadow probes can never go fresh, and
-            // the fresh-recovery SLO fails loudly.
-            spec.config.pool.workers = 1;
-            spec.config.pool.restart_budget = 0;
-            spec.plans[0] = FaultPlan::new().span(10..=4096, Fault::Panic);
-            spec.plans[1] = FaultPlan::new().span(10..=4096, Fault::Panic);
-            spec.failover.failover_threshold = 2;
-            spec.fresh_recovery = Some((20, 0.9));
-            spec.min_failovers = 1;
-        }
-        other => {
-            return Err(ServeError::Config(format!(
-                "unknown replication scenario '{other}'"
-            )))
-        }
-    }
-    if requests < 40 {
-        return Err(ServeError::Config(
-            "replication scenarios need at least 40 requests".to_string(),
-        ));
-    }
-    Ok(spec)
-}
-
-/// Runs one replication scenario: a [`ReplicaSet`] under scripted
-/// faults and live maintenance, with the SLO checks of
-/// [`run_scenario`] plus failover/hedge/recovery expectations. The
-/// determinism digest is `(rung_sequence, failover_sequence)`.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Config`] for unknown scenario names or
-/// unusable request counts; SLO failures are reported in
-/// [`ScenarioOutcome::violations`], not as `Err`.
-pub fn run_replication_scenario(
-    name: &str,
-    seed: u64,
-    requests: usize,
-) -> Result<ScenarioOutcome, ServeError> {
-    let spec = replication_spec_for(name, requests)?;
-    let factories: Vec<EngineFactory> = spec
-        .plans
-        .iter()
-        .enumerate()
-        .map(|(i, plan)| engine_factory(seed ^ (i as u64 + 1), Arc::new(plan.clone())))
-        .collect();
-    let mut failover = spec.failover.clone();
-    failover.seed = seed;
-    let mut set = ReplicaSet::new(
-        0,
-        spec.graph.clone(),
-        DdrEnvConfig {
-            memory: MEMORY,
-            ..DdrEnvConfig::default()
-        },
-        spec.config.clone(),
-        factories,
-        failover,
-        spec.hedge.clone(),
-    )?;
-
-    let n = spec.graph.num_nodes();
-    let base = spec.graph.clone();
-    let mut active = base.clone();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut injector = FailureInjector::from_seed(2, seed ^ 0xabcd);
-    // Tick at which the base topology is restored (LinkFlap /
-    // CapacityDrain schedule their own undo).
-    let mut restore_at: Option<usize> = None;
-
-    let mut submitted = 0usize;
-    let mut responses: Vec<RouteResponse> = Vec::new();
-    let mut invalid_on_serve = 0usize;
-    let mut tick = 0usize;
-
-    while submitted < requests {
-        if restore_at == Some(tick) {
-            set.apply_topology(base.clone())?;
-            active = base.clone();
-            restore_at = None;
-        }
-        for action in spec.maintenance.due(tick) {
-            match action {
-                MaintenanceAction::LinkFlap { restore_after } => {
-                    let (degraded, _dropped) = injector.degrade(&base);
-                    set.apply_topology(degraded.clone())?;
-                    active = degraded;
-                    restore_at = Some(tick + restore_after);
-                }
-                MaintenanceAction::CapacityDrain {
-                    factor,
-                    restore_after,
-                } => {
-                    let mut drained = active.clone();
-                    for e in 0..drained.num_edges() {
-                        let cap = drained.capacity(EdgeId(e));
-                        drained
-                            .set_capacity(EdgeId(e), cap * factor)
-                            .map_err(|e| ServeError::Config(format!("capacity drain: {e:?}")))?;
-                    }
-                    set.apply_topology(drained.clone())?;
-                    active = drained;
-                    restore_at = Some(tick + restore_after);
-                }
-                MaintenanceAction::RetoolReplica { replica } => {
-                    set.retool_replica(*replica)?;
-                }
-            }
-        }
-
-        let extra = if spec.burst_at.contains(&tick) {
-            spec.burst_size
-        } else {
-            0
-        };
-        for _ in 0..spec.clients_per_tick + extra {
-            let req = make_request(tick as u64, n, &mut rng, None);
-            submitted += 1;
-            for resp in set.enqueue(req) {
-                invalid_on_serve += usize::from(!resp.routing.validate(&active).is_empty());
-                responses.push(resp);
-            }
-        }
-        loop {
-            let served = set.process_coalesced(4);
-            if served.is_empty() {
-                break;
-            }
-            for resp in served {
-                invalid_on_serve += usize::from(!resp.routing.validate(&active).is_empty());
-                responses.push(resp);
-            }
-        }
-        tick += 1;
-    }
-
-    let rung_sequence: String = responses.iter().map(|r| r.rung.letter()).collect();
-    let depths: Vec<u8> = responses.iter().map(|r| r.rung.depth()).collect();
-    let p99 = p99_depth(&depths);
-    let stats = set.stats().clone();
-    let mut breaker_transitions = 0u64;
-    for i in 0..set.replica_count() {
-        breaker_transitions += set
-            .with_replica(i, |c| c.stats().breaker_transitions)
-            .expect("replica index in range");
-    }
-
-    let mut violations = Vec::new();
-    if responses.len() != submitted {
-        violations.push(format!(
-            "unanswered requests: submitted {submitted}, answered {}",
-            responses.len()
-        ));
-    }
-    if invalid_on_serve > 0 {
-        violations.push(format!(
-            "{invalid_on_serve} responses carried routings invalid for the active topology"
-        ));
-    }
-    if p99 > spec.max_p99_depth {
-        violations.push(format!(
-            "p99 ladder depth {p99} exceeds bound {}",
-            spec.max_p99_depth
-        ));
-    }
-    if stats.failovers < spec.min_failovers {
-        violations.push(format!(
-            "only {} failovers (expected at least {})",
-            stats.failovers, spec.min_failovers
-        ));
-    }
-    if stats.failovers > spec.max_failovers {
-        violations.push(format!(
-            "{} failovers (expected at most {})",
-            stats.failovers, spec.max_failovers
-        ));
-    }
-    if stats.hedges_fired < spec.min_hedges {
-        violations.push(format!(
-            "only {} hedged dispatches (expected at least {})",
-            stats.hedges_fired, spec.min_hedges
-        ));
-    }
-    if stats.recoveries < spec.min_recoveries {
-        violations.push(format!(
-            "only {} replica recoveries (expected at least {})",
-            stats.recoveries, spec.min_recoveries
-        ));
-    }
-    if spec.expect_shed && stats.shed == 0 {
-        violations.push("overload never shed (queue bound not exercised)".to_string());
-    }
-    if let Some((k, ratio)) = spec.fresh_recovery {
-        // The failover clock ticks once per answered request, so the
-        // first failover's clock value indexes into the response
-        // stream directly.
-        let first = stats.log.iter().find_map(|t| match t {
-            crate::replica::ReplicaTransition::Failover { clock, .. } => Some(*clock as usize),
-            crate::replica::ReplicaTransition::Recovered { .. } => None,
-        });
-        match first {
-            Some(clock) => {
-                let window: Vec<_> = responses.iter().skip(clock).take(k).collect();
-                let fresh = window.iter().filter(|r| r.rung == Rung::Fresh).count();
-                if window.is_empty() || (fresh as f64) < ratio * window.len() as f64 {
-                    violations.push(format!(
-                        "fresh ratio {fresh}/{} within {k} responses of failover below {ratio}",
-                        window.len()
-                    ));
-                }
-            }
-            None => {
-                violations.push("fresh-recovery SLO set but no failover ever fired".to_string())
-            }
-        }
-    }
-
-    Ok(ScenarioOutcome {
-        name: name.to_string(),
-        seed,
-        submitted,
-        answered: responses.len(),
-        rung_sequence,
-        shed: stats.shed,
-        worker_restarts: set.worker_restarts(),
-        breaker_transitions,
-        p99_depth: p99,
-        failovers: stats.failovers,
-        hedges: stats.hedges_fired,
-        recoveries: stats.recoveries,
-        failover_sequence: stats.failover_sequence(),
-        event_sequence: String::new(),
-        violations,
-    })
-}
-
-/// Recovery scenario names [`run_recovery_scenario`] accepts.
-/// `manifest_lies` is the deliberately broken one: the committed
-/// manifest is made to pin a record it does not match, the store
-/// correctly refuses the warm restore, and the scenario's
-/// demands-warm SLO fails loudly — proving the harness detects
-/// recovery-level violations.
-pub fn recovery_scenario_names() -> &'static [&'static str] {
-    &[
-        "process_crash_recovery",
-        "corrupt_snapshot",
-        "manifest_lies",
-    ]
-}
-
-/// Topology shard every recovery scenario serves.
-const RECOVERY_SHARD: &str = "cesnet";
-/// Same-tick clients per fleet tick in recovery scenarios.
-const RECOVERY_CLIENTS: usize = 2;
-
-/// A single-shard fleet with the chaos base config — rebuilt
-/// identically on both sides of a simulated crash.
-fn recovery_fleet(seed: u64) -> Result<ShardRouter, ServeError> {
-    let mut router = ShardRouter::new(FleetConfig::default())?;
-    router.add_shard(
-        RECOVERY_SHARD,
-        zoo::cesnet(),
-        DdrEnvConfig {
-            memory: MEMORY,
-            ..DdrEnvConfig::default()
-        },
-        base_config(),
-        engine_factory(seed ^ 1, Arc::new(FaultPlan::new())),
-    )?;
-    Ok(router)
-}
-
-/// Serves one fleet tick of [`RECOVERY_CLIENTS`] requests and returns
-/// the responses in order.
-fn run_recovery_tick(
-    router: &ShardRouter,
-    tick: u64,
-    n: usize,
-    rng: &mut StdRng,
-) -> Result<Vec<RouteResponse>, ServeError> {
-    let batch: Vec<FleetRequest> = (0..RECOVERY_CLIENTS)
-        .map(|_| FleetRequest {
-            topology: RECOVERY_SHARD.to_string(),
-            request: make_request(tick, n, rng, None),
-        })
-        .collect();
-    let outcomes = router.run(&batch)?;
-    Ok(outcomes.into_iter().flat_map(|o| o.responses).collect())
-}
-
-/// One way a committed snapshot store gets damaged between crash and
-/// restart in the `corrupt_snapshot` sweep.
-enum Corruption {
-    /// Torn write: only the first `len` bytes of the record survive.
-    Truncate(usize),
-    /// Radiation: one bit of the record flips.
-    FlipBit { pos: usize, bit: u8 },
-    /// The manifest itself is lost.
-    DropManifest,
-    /// The manifest survives but the record it points at is gone.
-    DropRecord,
-}
-
-/// Runs one recovery scenario: a snapshot-enabled [`ShardRouter`]
-/// killed mid-serve and rebuilt from its durable store, with
-/// corruption injected between crash and restart. SLOs: zero
-/// unanswered, every routing valid, warm restores resume on the
-/// restored LastGood rung, corrupted stores degrade to a clean cold
-/// start (typed error, never a panic, never restored state). The
-/// determinism digest is `(rung_sequence, event_sequence)` where the
-/// event sequence records each recovery outcome.
-///
-/// # Errors
-///
-/// Returns [`ServeError::Config`] for unknown scenario names or
-/// unusable request counts; SLO failures are reported in
-/// [`ScenarioOutcome::violations`], not as `Err`.
-pub fn run_recovery_scenario(
-    name: &str,
-    seed: u64,
-    requests: usize,
-) -> Result<ScenarioOutcome, ServeError> {
-    if !recovery_scenario_names().contains(&name) {
-        return Err(ServeError::Config(format!(
-            "unknown recovery scenario '{name}'"
-        )));
-    }
-    if requests < 40 {
-        return Err(ServeError::Config(
-            "recovery scenarios need at least 40 requests".to_string(),
-        ));
-    }
-    let dir = std::env::temp_dir().join(format!(
-        "gddr-recovery-{name}-{seed}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let result = recovery_scenario_impl(name, seed, requests, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    result
-}
-
-fn recovery_scenario_impl(
-    name: &str,
-    seed: u64,
-    requests: usize,
-    dir: &std::path::Path,
-) -> Result<ScenarioOutcome, ServeError> {
-    let io_err = |what: &str, e: std::io::Error| ServeError::Config(format!("{what}: {e}"));
-    let graph = zoo::cesnet();
-    let n = graph.num_nodes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let policy = SnapshotPolicy {
-        every_runs: 1,
-        warm_epochs: 2,
-    };
-    // Post-corruption fleets must not snapshot: a case's own serving
-    // would otherwise heal the store under later cases.
-    let passive = SnapshotPolicy {
-        every_runs: 1_000_000,
-        warm_epochs: 2,
-    };
-
-    let mut responses: Vec<RouteResponse> = Vec::new();
-    let mut submitted = 0usize;
-    let mut events: Vec<String> = Vec::new();
-    let mut violations: Vec<String> = Vec::new();
-
-    match name {
-        "process_crash_recovery" => {
-            let ticks = requests / RECOVERY_CLIENTS;
-            let crash_at = ticks / 2;
-            let mut alive = recovery_fleet(seed)?;
-            alive.enable_snapshots(dir, policy.clone())?;
-            for tick in 0..crash_at {
-                responses.extend(run_recovery_tick(&alive, tick as u64, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-            }
-            let before_crash = responses.len();
-            // The crash: the process dies with no shutdown hook, so
-            // only the committed store survives.
-            drop(alive);
-
-            let mut restarted = recovery_fleet(seed)?;
-            restarted.enable_snapshots(dir, policy)?;
-            match restarted.recover_from() {
-                RecoveryReport::Warm { generation, tick } => {
-                    events.push(format!("warm(g{generation})@t{tick}"));
-                }
-                RecoveryReport::Cold { error } => {
-                    events.push(format!("cold:{}", error.kind_name()));
-                    violations.push(format!(
-                        "restart came back cold ({error}) with an intact snapshot on disk"
-                    ));
-                }
-            }
-            for tick in crash_at..ticks {
-                responses.extend(run_recovery_tick(&restarted, tick as u64, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-            }
-            match responses.get(before_crash) {
-                Some(first) if first.rung == Rung::LastGood => {}
-                Some(first) => violations.push(format!(
-                    "first post-restore rung {:?}, expected the restored LastGood",
-                    first.rung
-                )),
-                None => violations.push("no responses after restart".to_string()),
-            }
-            if !responses
-                .iter()
-                .skip(before_crash)
-                .any(|r| r.rung == Rung::Fresh)
-            {
-                violations.push("inference never resumed after the warm window".to_string());
-            }
-        }
-        "corrupt_snapshot" => {
-            // Commit a few generations, then crash.
-            let phase1_ticks = 4usize;
-            let mut alive = recovery_fleet(seed)?;
-            alive.enable_snapshots(dir, policy)?;
-            for tick in 0..phase1_ticks {
-                responses.extend(run_recovery_tick(&alive, tick as u64, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-            }
-            drop(alive);
-
-            let store =
-                Store::open(dir).map_err(|e| ServeError::Config(format!("reopen store: {e}")))?;
-            let manifest_path = dir.join(gddr_store::MANIFEST_NAME);
-            let record_path = store.record_path(phase1_ticks as u64);
-            let pristine_record =
-                std::fs::read(&record_path).map_err(|e| io_err("read record", e))?;
-            let pristine_manifest =
-                std::fs::read(&manifest_path).map_err(|e| io_err("read manifest", e))?;
-            let len = pristine_record.len();
-
-            // Torn-write prefixes (inside and past the header), seeded
-            // bit flips, and missing files. Labels carry no byte
-            // positions: the record length reflects wall-clock latency
-            // histograms and is not replay-stable, only the corruption
-            // *classes* are.
-            let mut cases: Vec<(String, Corruption)> = [
-                ("torn_empty", 0),
-                ("torn_hdr7", 7.min(len)),
-                ("torn_hdr19", 19.min(len)),
-                ("torn_third", len / 3),
-                ("torn_half", len / 2),
-                ("torn_tail", len - 1),
-            ]
-            .into_iter()
-            .map(|(label, k)| (label.to_string(), Corruption::Truncate(k)))
-            .collect();
-            {
-                use gddr_rng::Rng;
-                let mut crng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
-                let header = gddr_store::RECORD_HEADER_LEN;
-                for i in 0..4 {
-                    // Payload-only flips, so the class is always a
-                    // checksum mismatch regardless of record length.
-                    let pos = header + (crng.next_u64() as usize) % (len - header);
-                    let bit = (crng.next_u64() % 8) as u8;
-                    cases.push((format!("flip{i}"), Corruption::FlipBit { pos, bit }));
-                }
-            }
-            cases.push(("no_manifest".to_string(), Corruption::DropManifest));
-            cases.push(("no_record".to_string(), Corruption::DropRecord));
-
-            let mut tick = phase1_ticks as u64;
-            for (label, op) in &cases {
-                // Restore the pristine store, then damage it.
-                std::fs::write(&record_path, &pristine_record)
-                    .map_err(|e| io_err("restore record", e))?;
-                std::fs::write(&manifest_path, &pristine_manifest)
-                    .map_err(|e| io_err("restore manifest", e))?;
-                match op {
-                    Corruption::Truncate(k) => {
-                        std::fs::write(&record_path, &pristine_record[..*k])
-                            .map_err(|e| io_err("truncate record", e))?;
-                    }
-                    Corruption::FlipBit { pos, bit } => {
-                        let mut bytes = pristine_record.clone();
-                        bytes[*pos] ^= 1 << bit;
-                        std::fs::write(&record_path, &bytes)
-                            .map_err(|e| io_err("flip record bit", e))?;
-                    }
-                    Corruption::DropManifest => {
-                        std::fs::remove_file(&manifest_path)
-                            .map_err(|e| io_err("drop manifest", e))?;
-                    }
-                    Corruption::DropRecord => {
-                        std::fs::remove_file(&record_path).map_err(|e| io_err("drop record", e))?;
-                    }
-                }
-
-                let mut fleet = recovery_fleet(seed)?;
-                fleet.enable_snapshots(dir, passive.clone())?;
-                match fleet.recover_from() {
-                    RecoveryReport::Cold { error } => {
-                        events.push(format!("{label}>cold:{}", error.kind_name()));
-                    }
-                    RecoveryReport::Warm { generation, .. } => {
-                        events.push(format!("{label}>warm(g{generation})"));
-                        violations.push(format!("{label}: corrupted snapshot restored warm"));
-                    }
-                }
-                // The cold fleet still serves, and never from
-                // restored state.
-                let served = run_recovery_tick(&fleet, tick, n, &mut rng)?;
-                if served.iter().any(|r| r.rung == Rung::LastGood) {
-                    violations.push(format!("{label}: cold start served restored state"));
-                }
-                responses.extend(served);
-                submitted += RECOVERY_CLIENTS;
-                tick += 1;
-            }
-
-            // Pad out the request budget on one last cold fleet.
-            let tail = recovery_fleet(seed)?;
-            while submitted < requests {
-                responses.extend(run_recovery_tick(&tail, tick, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-                tick += 1;
-            }
-        }
-        "manifest_lies" => {
-            // Deliberately broken: generation 4's manifest ends up
-            // pinning bytes that actually hold generation 3. The store
-            // must refuse the warm restore (cold, typed) — but this
-            // scenario's SLO demands warm, so it fails loudly.
-            let phase1_ticks = 4usize;
-            let mut alive = recovery_fleet(seed)?;
-            alive.enable_snapshots(dir, policy)?;
-            for tick in 0..phase1_ticks {
-                responses.extend(run_recovery_tick(&alive, tick as u64, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-            }
-            drop(alive);
-
-            let store =
-                Store::open(dir).map_err(|e| ServeError::Config(format!("reopen store: {e}")))?;
-            let stale =
-                std::fs::read(store.record_path(3)).map_err(|e| io_err("read stale record", e))?;
-            std::fs::write(store.record_path(4), &stale)
-                .map_err(|e| io_err("overwrite record", e))?;
-
-            let mut restarted = recovery_fleet(seed)?;
-            restarted.enable_snapshots(dir, passive)?;
-            match restarted.recover_from() {
-                RecoveryReport::Warm { generation, tick } => {
-                    events.push(format!("warm(g{generation})@t{tick}"));
-                }
-                RecoveryReport::Cold { error } => {
-                    events.push(format!("cold:{}", error.kind_name()));
-                    violations.push(format!(
-                        "recovery came back cold ({error}) but this scenario demands a warm restore"
-                    ));
-                }
-            }
-            // Availability holds even while the SLO fails.
-            let ticks = requests / RECOVERY_CLIENTS;
-            for tick in phase1_ticks..ticks {
-                responses.extend(run_recovery_tick(&restarted, tick as u64, n, &mut rng)?);
-                submitted += RECOVERY_CLIENTS;
-            }
-        }
-        _ => unreachable!("names validated above"),
-    }
-
-    let rung_sequence: String = responses.iter().map(|r| r.rung.letter()).collect();
-    let depths: Vec<u8> = responses.iter().map(|r| r.rung.depth()).collect();
-    let p99 = p99_depth(&depths);
-    if responses.len() != submitted {
-        violations.push(format!(
-            "unanswered requests: submitted {submitted}, answered {}",
-            responses.len()
-        ));
-    }
-    let invalid = responses
-        .iter()
-        .filter(|r| !r.routing.validate(&graph).is_empty())
-        .count();
-    if invalid > 0 {
-        violations.push(format!(
-            "{invalid} responses carried routings invalid for the topology"
-        ));
-    }
-    if p99 > 2 {
-        violations.push(format!("p99 ladder depth {p99} exceeds bound 2"));
-    }
-
-    Ok(ScenarioOutcome {
-        name: name.to_string(),
-        seed,
-        submitted,
-        answered: responses.len(),
-        rung_sequence,
-        shed: 0,
-        worker_restarts: 0,
-        breaker_transitions: 0,
-        p99_depth: p99,
-        failovers: 0,
-        hedges: 0,
-        recoveries: 0,
-        failover_sequence: String::new(),
-        event_sequence: events.join(";"),
-        violations,
-    })
-}
-
-/// Mixes a per-scenario offset into the base seed so scenarios don't
-/// share traffic streams.
-pub fn scenario_seed(base: u64, name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    base ^ h
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::{run, scenario_seed, select, spec, ScenarioOutcome, Tag};
+    use crate::ServeError;
+
+    /// Runs `name`, which must carry `tag`, twice at `seed`.
+    fn replay(tag: Tag, name: &str, seed: u64, requests: usize) -> [ScenarioOutcome; 2] {
+        let spec = select(tag.name())
+            .unwrap()
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{name} is not a {} scenario", tag.name()));
+        [(); 2].map(|_| run(&spec, seed, requests).unwrap())
+    }
+
+    /// Unknown names are errors, `tag` selects none of `others`, and a
+    /// budget below `name`'s minimum is raised to it.
+    fn assert_tag_selects_only_its_own(tag: Tag, others: &[&str], name: &str) {
+        assert!(matches!(select("nope"), Err(ServeError::Config(_))));
+        let tagged = select(tag.name()).unwrap();
+        assert!(tagged.iter().all(|s| s.tag == tag));
+        for other in others {
+            assert!(spec(other).is_some(), "{other}");
+            assert!(tagged.iter().all(|s| s.name != *other), "{other}");
+        }
+        let spec = spec(name).unwrap();
+        let small = run(&spec, 1, spec.min_requests - 1).unwrap();
+        assert_eq!(small.requests, spec.min_requests, "{name}");
+        assert!(small.submitted >= spec.min_requests, "{name}");
+    }
 
     #[test]
     fn healthy_scenario_passes_and_is_deterministic() {
-        let a = run_scenario("healthy", 42, 40).unwrap();
+        let [a, b] = replay(Tag::Controller, "healthy", 42, 40);
         assert!(a.passed(), "violations: {:?}", a.violations);
         assert_eq!(a.answered, a.submitted);
         assert!(a.rung_sequence.chars().all(|c| c == 'F'));
-        let b = run_scenario("healthy", 42, 40).unwrap();
         assert_eq!(a.rung_sequence, b.rung_sequence);
     }
 
     #[test]
-    fn budget_zero_scenario_fails_loudly() {
-        let outcome = run_scenario("budget_zero", 42, 40).unwrap();
-        assert!(!outcome.passed());
-        assert!(outcome
-            .violations
-            .iter()
-            .any(|v| v.contains("no fresh response")));
-    }
-
-    #[test]
     fn unknown_scenario_is_an_error() {
-        let err = run_scenario("nope", 1, 40).unwrap_err();
-        assert!(matches!(err, ServeError::Config(_)), "{err}");
-        assert!(run_scenario("healthy", 1, 39).is_err());
+        assert!(spec("nope").is_none());
+        assert_tag_selects_only_its_own(
+            Tag::Controller,
+            &["primary_kill_failover", "process_crash_recovery"],
+            "healthy",
+        );
     }
 
     #[test]
@@ -1336,53 +59,27 @@ mod tests {
             "hedged_straggler",
             "flapping_replica",
         ] {
-            let seed = scenario_seed(42, name);
-            let a = run_replication_scenario(name, seed, 48).unwrap();
+            let [a, b] = replay(Tag::Replication, name, scenario_seed(42, name), 48);
             assert!(a.passed(), "{name} violations: {:?}", a.violations);
             assert_eq!(a.answered, a.submitted, "{name}");
-            let b = run_replication_scenario(name, seed, 48).unwrap();
             assert_eq!(a.rung_sequence, b.rung_sequence, "{name}");
             assert_eq!(a.failover_sequence, b.failover_sequence, "{name}");
         }
     }
 
     #[test]
-    fn rolling_retool_absorbs_maintenance_without_failover() {
-        let seed = scenario_seed(42, "rolling_retool");
-        let a = run_replication_scenario("rolling_retool", seed, 48).unwrap();
-        assert!(a.passed(), "violations: {:?}", a.violations);
-        assert_eq!(a.failovers, 0);
-        assert!(a.shed > 0, "burst must shed");
-        assert!(a.breaker_transitions > 0, "slow window must trip breakers");
-        assert!(a.p99_depth <= 2);
-        let b = run_replication_scenario("rolling_retool", seed, 48).unwrap();
-        assert_eq!(a.rung_sequence, b.rung_sequence);
-    }
-
-    #[test]
-    fn replicas_exhausted_fails_loudly() {
-        let seed = scenario_seed(42, "replicas_exhausted");
-        let outcome = run_replication_scenario("replicas_exhausted", seed, 48).unwrap();
-        assert!(!outcome.passed());
-        assert!(outcome
-            .violations
-            .iter()
-            .any(|v| v.contains("fresh ratio") || v.contains("no failover")));
-        // Still zero unanswered: the ladder answers even with every
-        // replica dead.
-        assert_eq!(outcome.answered, outcome.submitted);
-    }
-
-    #[test]
     fn unknown_replication_scenario_is_an_error() {
-        assert!(run_replication_scenario("nope", 1, 48).is_err());
-        assert!(run_replication_scenario("hedged_straggler", 1, 39).is_err());
+        assert_tag_selects_only_its_own(
+            Tag::Replication,
+            &["healthy", "corrupt_snapshot"],
+            "hedged_straggler",
+        );
     }
 
     #[test]
     fn process_crash_recovery_restores_warm_and_is_deterministic() {
-        let seed = scenario_seed(42, "process_crash_recovery");
-        let a = run_recovery_scenario("process_crash_recovery", seed, 40).unwrap();
+        let name = "process_crash_recovery";
+        let [a, b] = replay(Tag::Recovery, name, scenario_seed(42, name), 40);
         assert!(a.passed(), "violations: {:?}", a.violations);
         assert_eq!(a.answered, a.submitted);
         assert!(
@@ -1395,15 +92,14 @@ mod tests {
             "warm window must serve LastGood: {}",
             a.rung_sequence
         );
-        let b = run_recovery_scenario("process_crash_recovery", seed, 40).unwrap();
         assert_eq!(a.rung_sequence, b.rung_sequence);
         assert_eq!(a.event_sequence, b.event_sequence);
     }
 
     #[test]
     fn corrupt_snapshot_sweep_cold_starts_cleanly() {
-        let seed = scenario_seed(42, "corrupt_snapshot");
-        let a = run_recovery_scenario("corrupt_snapshot", seed, 40).unwrap();
+        let name = "corrupt_snapshot";
+        let [a, b] = replay(Tag::Recovery, name, scenario_seed(42, name), 40);
         assert!(a.passed(), "violations: {:?}", a.violations);
         assert_eq!(a.answered, a.submitted);
         for kind in [
@@ -1422,36 +118,16 @@ mod tests {
             "cold starts must never serve restored state: {}",
             a.rung_sequence
         );
-        let b = run_recovery_scenario("corrupt_snapshot", seed, 40).unwrap();
         assert_eq!(a.rung_sequence, b.rung_sequence);
         assert_eq!(a.event_sequence, b.event_sequence);
     }
 
     #[test]
-    fn manifest_lies_fails_loudly() {
-        let seed = scenario_seed(42, "manifest_lies");
-        let outcome = run_recovery_scenario("manifest_lies", seed, 40).unwrap();
-        assert!(!outcome.passed());
-        assert!(outcome
-            .violations
-            .iter()
-            .any(|v| v.contains("demands a warm restore")));
-        // Availability holds even while the warm-restore SLO fails.
-        assert_eq!(outcome.answered, outcome.submitted);
-        assert!(outcome.event_sequence.contains("cold:manifest_mismatch"));
-    }
-
-    #[test]
     fn unknown_recovery_scenario_is_an_error() {
-        assert!(run_recovery_scenario("nope", 1, 40).is_err());
-        assert!(run_recovery_scenario("corrupt_snapshot", 1, 39).is_err());
-    }
-
-    #[test]
-    fn scenario_seeds_differ_by_name() {
-        assert_ne!(
-            scenario_seed(7, "healthy"),
-            scenario_seed(7, "worker_panic")
+        assert_tag_selects_only_its_own(
+            Tag::Recovery,
+            &["healthy", "hedged_straggler", "fleet_recovery_drill"],
+            "corrupt_snapshot",
         );
     }
 }

@@ -70,6 +70,8 @@
 //! are bit-identical, and checks them against the golden file.
 
 pub mod breaker;
+#[cfg(test)]
+mod chaos;
 pub mod controller;
 pub mod engine;
 pub mod fleet;

@@ -2505,6 +2505,23 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_scenarios_pass_and_replay_bit_identically() {
+        for name in ["diurnal_flash_crowd", "rolling_maintenance"] {
+            let spec = spec(name).unwrap();
+            assert_eq!(spec.tag, Tag::Dynamics, "{name}");
+            let seed = scenario_seed(42, name);
+            let a = run(&spec, seed, 88).unwrap();
+            assert!(a.passed(), "{name} violations: {:?}", a.violations);
+            assert_eq!(a.answered, a.submitted, "{name}");
+            assert!(!a.event_sequence.is_empty(), "{name}");
+            let b = run(&spec, seed, 88).unwrap();
+            assert_eq!(a.rung_sequence, b.rung_sequence, "{name}");
+            assert_eq!(a.event_sequence, b.event_sequence, "{name}");
+            assert_eq!(a.failover_sequence, b.failover_sequence, "{name}");
+        }
+    }
+
+    #[test]
     fn broken_blackout_fails_loudly_but_answers_everything() {
         let outcome = run_named("broken_blackout", 48);
         assert!(outcome
@@ -2562,6 +2579,21 @@ mod tests {
         // Budgets below the spec's minimum are raised to it.
         let small = run_named("healthy", 3);
         assert_eq!((small.requests, small.submitted), (40, 40));
+    }
+
+    #[test]
+    fn unknown_dynamic_scenario_is_an_error() {
+        assert!(matches!(
+            select("flap_storm,nope"),
+            Err(ServeError::Config(_))
+        ));
+        let dynamics = select(Tag::Dynamics.name()).unwrap();
+        assert!(dynamics.iter().all(|s| s.tag == Tag::Dynamics));
+        assert!(dynamics.iter().any(|s| s.name == "flap_storm"));
+        assert!(dynamics.iter().all(|s| s.name != "rolling_retool"));
+        // Budgets below the dynamics minimum are raised to it.
+        let small = run_named("flap_storm", 39);
+        assert_eq!((small.requests, small.submitted), (88, 88));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Integration tests for the online serving controller: end-to-end
-//! ladder behaviour and the seeded admission/shedding property. Chaos
-//! scenario determinism is pinned by the golden digests in
-//! `gddr_serve::scenario`.
+//! ladder behaviour, the seeded admission/shedding property, and
+//! same-seed determinism of chaos scenarios.
 
 use std::sync::Arc;
 
@@ -11,8 +10,8 @@ use gddr_net::Graph;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
 use gddr_serve::{
-    Controller, ControllerConfig, EngineFactory, EpochRequest, FaultPlan, InferenceEngine,
-    PolicyEngine, Rung, DEFAULT_DEADLINE_MS,
+    scenario, Controller, ControllerConfig, EngineFactory, EpochRequest, FaultPlan,
+    InferenceEngine, PolicyEngine, Rung, DEFAULT_DEADLINE_MS,
 };
 use gddr_traffic::gen::{bimodal, BimodalParams};
 use gddr_traffic::DemandMatrix;
@@ -161,6 +160,23 @@ fn malformed_requests_never_go_unanswered() {
         assert!(responses[0].routing.validate(c.graph()).is_empty());
     }
     assert_eq!(c.stats().responses(), 5);
+}
+
+/// Same seed, same scenario → bit-identical rung sequences; different
+/// seeds → (almost surely) different traffic, and at minimum a pass.
+#[test]
+fn chaos_scenarios_replay_deterministically() {
+    for name in ["worker_panic", "slow_inference", "overload_burst"] {
+        let spec = scenario::spec(name).unwrap();
+        let a = scenario::run(&spec, 1234, 40).unwrap();
+        let b = scenario::run(&spec, 1234, 40).unwrap();
+        assert_eq!(
+            a.rung_sequence, b.rung_sequence,
+            "{name}: same-seed replay diverged"
+        );
+        assert!(a.passed(), "{name}: violations {:?}", a.violations);
+        assert_eq!(a.answered, a.submitted);
+    }
 }
 
 #[test]
