@@ -513,17 +513,18 @@ fn target_gradcheck(seed: u64, _size: u64) -> Result<(), String> {
 }
 
 /// Serving never drops a request: drive a small inline-mode
-/// controller with a hostile request mix — valid bimodal traffic,
+/// one-replica set with a hostile request mix — valid bimodal traffic,
 /// infinite demands, wrong-size and zero-node matrices, zero
 /// deadlines, random bursts against a tiny queue — and require that
 /// every submitted request gets exactly one response, every response
-/// carries a routing valid for the graph, and only valid requests
-/// with a real deadline ever earn fresh inference.
+/// carries a routing valid for the graph, only valid requests with a
+/// real deadline ever earn fresh inference, and the controller's shed
+/// counter matches the shed-tagged responses.
 fn target_serve_request(seed: u64, size: u64) -> Result<(), String> {
     use gddr_core::{DdrEnvConfig, MlpPolicy};
     use gddr_serve::{
-        Controller, ControllerConfig, EngineFactory, EpochRequest, InferenceEngine, PolicyEngine,
-        Rung,
+        ControllerConfig, EngineFactory, EpochRequest, FailoverConfig, HedgeConfig,
+        InferenceEngine, PolicyEngine, ReplicaSet, Rung,
     };
     use std::sync::Arc;
 
@@ -549,26 +550,28 @@ fn target_serve_request(seed: u64, size: u64) -> Result<(), String> {
         ..ControllerConfig::default()
     };
     config.pool.workers = 1;
-    let mut controller = Controller::new(
-        graph,
+    let mut set = ReplicaSet::new(
+        0,
+        graph.clone(),
         DdrEnvConfig {
             memory,
             ..DdrEnvConfig::default()
         },
         config,
-        factory,
-    );
+        vec![factory],
+        FailoverConfig::default(),
+        HedgeConfig::default(),
+    )
+    .map_err(|e| format!("replica set: {e}"))?;
 
     let rounds = 2 + (size as usize % 12);
     let mut submitted: u64 = 0;
     let mut answered: u64 = 0;
+    let mut shed_seen: u64 = 0;
     let mut valid_by_epoch: Vec<bool> = Vec::new();
 
-    let check = |resp: &gddr_serve::RouteResponse,
-                 controller: &Controller,
-                 valid_by_epoch: &[bool]|
-     -> Result<(), String> {
-        if !resp.routing.validate(controller.graph()).is_empty() {
+    let check = |resp: &gddr_serve::RouteResponse, valid_by_epoch: &[bool]| -> Result<(), String> {
+        if !resp.routing.validate(&graph).is_empty() {
             return Err(format!(
                 "response for request {} carries an invalid routing",
                 resp.epoch
@@ -627,14 +630,15 @@ fn target_serve_request(seed: u64, size: u64) -> Result<(), String> {
             // served fresh.
             valid_by_epoch.push(valid && deadline_ms > 0);
             submitted += 1;
-            responses.extend(controller.enqueue(req));
+            responses.extend(set.enqueue(req));
         }
-        while let Some(resp) = controller.process_next() {
+        while let Some(resp) = set.process_next() {
             responses.push(resp);
         }
         for resp in &responses {
             answered += 1;
-            check(resp, &controller, &valid_by_epoch)?;
+            shed_seen += u64::from(resp.shed);
+            check(resp, &valid_by_epoch)?;
         }
     }
 
@@ -643,10 +647,17 @@ fn target_serve_request(seed: u64, size: u64) -> Result<(), String> {
             "submitted {submitted} requests but {answered} answered"
         ));
     }
-    if controller.stats().responses() != answered {
+    let stats = set.with_primary(|c| c.stats().clone());
+    if stats.responses() != answered {
         return fail(format!(
             "stats disagree: {} recorded vs {answered} observed",
-            controller.stats().responses()
+            stats.responses()
+        ));
+    }
+    if stats.shed != shed_seen {
+        return fail(format!(
+            "shed counter disagrees: {} recorded vs {shed_seen} shed-tagged responses",
+            stats.shed
         ));
     }
     Ok(())

@@ -1,6 +1,9 @@
-//! The serving controller: bounded admission, supervised inference,
-//! oracle scoring behind a circuit breaker, and the graceful-
-//! degradation ladder that guarantees every request an answer.
+//! The serving controller: supervised inference, oracle scoring
+//! behind a circuit breaker, and the graceful-degradation ladder that
+//! guarantees every request an answer. Admission lives in front of it,
+//! in the [`ReplicaSet`](crate::replica::ReplicaSet)'s bounded queue;
+//! every served request goes through one batched path,
+//! `serve_batch` → [`WorkerPool::dispatch_batch`].
 //!
 //! Ladder, best rung first:
 //!
@@ -32,7 +35,7 @@ use gddr_traffic::DemandMatrix;
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::engine::{BatchItem, EngineFactory, InferenceReply};
 use crate::health::{HealthInputs, HealthMonitor, HealthState};
-use crate::queue::{AdmissionQueue, Admitted};
+use crate::queue::Admitted;
 use crate::request::{EpochRequest, RouteResponse, Rung, ServeError};
 use crate::snapshot::{count_from_json, routing_from_json, routing_to_json};
 use crate::worker::{PoolConfig, WorkerPool};
@@ -40,7 +43,8 @@ use crate::worker::{PoolConfig, WorkerPool};
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// Bounded admission-queue capacity (overflow sheds oldest).
+    /// Capacity of the replica set's bounded admission queue
+    /// (overflow sheds oldest).
     pub queue_capacity: usize,
     /// How many serving epochs a last-good routing stays usable.
     pub staleness_limit: u64,
@@ -159,9 +163,11 @@ fn stats_from_json(json: &Json) -> Result<ServeStats, String> {
     Ok(stats)
 }
 
-/// The online routing controller. Single-threaded at the API surface:
-/// `enqueue` requests, then `process_next` (or `handle` for both at
-/// once) — every submitted request yields exactly one response.
+/// The online routing controller for one topology. It has no queue of
+/// its own: a [`ReplicaSet`](crate::replica::ReplicaSet) admits
+/// requests and hands each coalesced run to the primary's
+/// `serve_batch`, or a shed victim to `answer_shed` — every admitted
+/// request yields exactly one response.
 pub struct Controller {
     shard: u64,
     graph: Graph,
@@ -171,7 +177,6 @@ pub struct Controller {
     pool: WorkerPool,
     breaker: CircuitBreaker,
     health: HealthMonitor,
-    queue: AdmissionQueue,
     history: VecDeque<DemandMatrix>,
     last_good: Option<(Routing, u64)>,
     ecmp: Routing,
@@ -200,17 +205,6 @@ struct TraceInfo {
 }
 
 impl Controller {
-    /// Builds a standalone controller serving `graph` with engines
-    /// from `factory` (shard tag 0).
-    pub fn new(
-        graph: Graph,
-        env_cfg: DdrEnvConfig,
-        config: ControllerConfig,
-        factory: EngineFactory,
-    ) -> Self {
-        Controller::with_shard(graph, env_cfg, config, factory, 0)
-    }
-
     /// Builds a controller tagged with a fleet `shard` id; every
     /// telemetry event it (and its worker pool) emits carries the tag.
     pub fn with_shard(
@@ -223,7 +217,6 @@ impl Controller {
         let oracle = CachedOracle::new(graph.clone());
         let pool = WorkerPool::new(factory, &graph, config.pool.clone(), shard);
         let breaker = CircuitBreaker::new(config.breaker.clone());
-        let queue = AdmissionQueue::new(config.queue_capacity);
         let ecmp = unit_ecmp_routing(&graph);
         let shortest_path = unit_shortest_path_routing(&graph);
         let slo = SloTracker::new(config.slo.clone());
@@ -236,7 +229,6 @@ impl Controller {
             pool,
             breaker,
             health: HealthMonitor::new(),
-            queue,
             history: VecDeque::new(),
             last_good: None,
             ecmp,
@@ -300,82 +292,6 @@ impl Controller {
     /// Worker restarts performed so far.
     pub fn worker_restarts(&self) -> u64 {
         self.pool.restarts()
-    }
-
-    /// Pending requests awaiting `process_next`.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Admits a request with no trace context (untraced standalone
-    /// serving). Any requests shed to make room are answered
-    /// immediately from the ladder and returned.
-    pub fn enqueue(&mut self, req: EpochRequest) -> Vec<RouteResponse> {
-        self.enqueue_traced(req, TraceCtx::default())
-    }
-
-    /// Admits a request under a trace context minted at fleet
-    /// admission. Emits a `fleet.admitted` trace annotation so the
-    /// request's waterfall starts at the queue door; shed victims are
-    /// answered immediately from the ladder and returned.
-    pub fn enqueue_traced(&mut self, req: EpochRequest, ctx: TraceCtx) -> Vec<RouteResponse> {
-        gddr_telemetry::trace_annotation_event(
-            ctx,
-            "fleet.admitted",
-            gddr_telemetry::now_us(),
-            &[
-                ("epoch", req.epoch.to_string()),
-                ("queue_len", self.queue.len().to_string()),
-            ],
-        );
-        let shed = self.queue.admit(req, ctx);
-        shed.into_iter()
-            .map(|victim| {
-                self.stats.shed += 1;
-                gddr_telemetry::request_shed_event(
-                    self.shard,
-                    victim.req.epoch,
-                    self.queue.len() as u64,
-                );
-                self.serve(victim, true)
-            })
-            .collect()
-    }
-
-    /// Serves the oldest pending request, if any.
-    pub fn process_next(&mut self) -> Option<RouteResponse> {
-        let entry = self.queue.pop()?;
-        Some(self.serve(entry, false))
-    }
-
-    /// Convenience: enqueue then drain. Shed responses (for older
-    /// requests) precede processed ones.
-    pub fn handle(&mut self, req: EpochRequest) -> Vec<RouteResponse> {
-        let mut out = self.enqueue(req);
-        while let Some(resp) = self.process_next() {
-            out.push(resp);
-        }
-        out
-    }
-
-    /// Serves the oldest pending request plus any immediately
-    /// following requests carrying the **same client epoch** (distinct
-    /// clients observing the same tick), up to `window` items, with a
-    /// single batched inference pass. Returns one response per served
-    /// request in queue order; empty when nothing is pending.
-    ///
-    /// `process_coalesced(1)` is exactly [`Controller::process_next`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`.
-    pub fn process_coalesced(&mut self, window: usize) -> Vec<RouteResponse> {
-        assert!(window > 0, "coalescing window must be positive");
-        let run = self.queue.pop_run(window);
-        if run.is_empty() {
-            return Vec::new();
-        }
-        self.serve_batch(run)
     }
 
     /// Swaps in a new topology (e.g. after link failures): rebuilds
@@ -616,15 +532,10 @@ impl Controller {
         Ok(())
     }
 
-    /// History snapshot for inference: exactly `memory` matrices,
-    /// oldest first, zero-padded at the front during warm-up.
-    fn history_snapshot(&self) -> Vec<DemandMatrix> {
-        self.snapshot_of(&self.history)
-    }
-
-    /// [`Controller::history_snapshot`] over an arbitrary history
-    /// buffer (used by `serve_batch` to replay sequential snapshots
-    /// ahead of one batched dispatch).
+    /// History snapshot for inference over `history`: exactly `memory`
+    /// matrices, oldest first, zero-padded at the front during warm-up
+    /// (`serve_batch` replays sequential snapshots ahead of one
+    /// batched dispatch).
     fn snapshot_of(&self, history: &VecDeque<DemandMatrix>) -> Vec<DemandMatrix> {
         let memory = self.env_cfg.memory;
         let n = self.graph.num_nodes();
@@ -729,52 +640,43 @@ impl Controller {
         }
     }
 
-    pub(crate) fn serve(&mut self, entry: Admitted, shed: bool) -> RouteResponse {
-        let Admitted {
-            req,
-            ctx,
-            admitted_at,
-        } = entry;
+    /// Answers a request shed from the admission queue: it advances
+    /// the serving epoch and history like any other request, but goes
+    /// straight to the ladder without an inference attempt.
+    pub(crate) fn answer_shed(&mut self, entry: &Admitted) -> RouteResponse {
+        self.stats.shed += 1;
         self.epoch += 1;
-        let epoch = self.epoch;
-        let queue_wait_ns = admitted_at.elapsed().as_nanos() as u64;
-        let valid = self.validate_demands(&req.demands);
-        let attempt = match (&valid, shed) {
-            (Ok(()), false) if req.deadline_ms > 0 && epoch > self.warm_until => {
-                let history = self.history_snapshot();
-                Some(self.pool.dispatch_traced(&req, &history, epoch, ctx))
-            }
-            _ => None,
-        };
         let info = TraceInfo {
-            ctx,
-            admitted_at,
-            queue_wait_ns,
+            ctx: entry.ctx,
+            admitted_at: entry.admitted_at,
+            queue_wait_ns: entry.admitted_at.elapsed().as_nanos() as u64,
         };
-        self.finish(req, info, epoch, shed, valid, attempt)
+        let valid = self.validate_demands(&entry.req.demands);
+        self.finish(&entry.req, info, self.epoch, true, valid, None)
     }
 
     /// Serves a coalesced run of requests with **one** batched
-    /// inference dispatch, reproducing sequential [`Controller::serve`]
-    /// semantics on the healthy path bit for bit: item k's history
-    /// snapshot includes items 0..k's (valid) demands, serving epochs
-    /// advance one per request, and every post-inference step runs in
-    /// request order. When the batch dispatch fails, the whole run
-    /// degrades together — a panicked or exhausted engine leaves no
-    /// partial answers worth trusting.
-    pub(crate) fn serve_batch(&mut self, entries: Vec<Admitted>) -> Vec<RouteResponse> {
+    /// inference dispatch. A one-item run is the per-request reference;
+    /// a longer run reproduces a sequence of one-item runs on the
+    /// healthy path bit for bit: item k's history snapshot includes
+    /// items 0..k's (valid) demands, serving epochs advance one per
+    /// request, and every post-inference step runs in request order.
+    /// When the batch dispatch fails, the whole run degrades together
+    /// — a panicked or exhausted engine leaves no partial answers worth
+    /// trusting.
+    pub(crate) fn serve_batch(&mut self, entries: &[Admitted]) -> Vec<RouteResponse> {
         // Phase 1 (sequential): assign epochs, validate, and snapshot
         // each item's history exactly as sequential serving would have
         // seen it.
         let mut sim = self.history.clone();
         let mut pending = Vec::with_capacity(entries.len());
         let mut items = Vec::new();
-        for entry in entries {
-            let Admitted {
-                req,
-                ctx,
-                admitted_at,
-            } = entry;
+        for Admitted {
+            req,
+            ctx,
+            admitted_at,
+        } in entries
+        {
             self.epoch += 1;
             let epoch = self.epoch;
             let queue_wait_ns = admitted_at.elapsed().as_nanos() as u64;
@@ -783,7 +685,7 @@ impl Controller {
                 items.push(BatchItem {
                     req: req.clone(),
                     history: self.snapshot_of(&sim),
-                    trace: ctx,
+                    trace: *ctx,
                 });
                 Some(items.len() - 1)
             } else {
@@ -796,8 +698,8 @@ impl Controller {
                 sim.push_back(req.demands.clone());
             }
             let info = TraceInfo {
-                ctx,
-                admitted_at,
+                ctx: *ctx,
+                admitted_at: *admitted_at,
                 queue_wait_ns,
             };
             pending.push((req, info, epoch, valid, batch_slot));
@@ -837,7 +739,7 @@ impl Controller {
     /// (shed, invalid demands, or a zero deadline).
     fn finish(
         &mut self,
-        req: EpochRequest,
+        req: &EpochRequest,
         info: TraceInfo,
         epoch: u64,
         shed: bool,
@@ -854,7 +756,7 @@ impl Controller {
                 // response even when it misses the deadline: hedged
                 // dispatch keys its straggler threshold off it.
                 infer_cost_ms = outcome.as_ref().ok().map(|reply| reply.cost_ms);
-                match outcome.and_then(|reply| self.reply_to_routing(reply, &req, epoch)) {
+                match outcome.and_then(|reply| self.reply_to_routing(reply, req, epoch)) {
                     Ok(routing) => {
                         score = self.score(&routing, &req.demands, epoch);
                         self.last_good = Some((routing.clone(), epoch));
@@ -966,6 +868,7 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::engine::{ChaosEngine, Fault, FaultPlan, InferenceEngine, PolicyEngine};
+    use crate::replica::{FailoverConfig, HedgeConfig, ReplicaSet};
     use crate::request::DEFAULT_DEADLINE_MS;
     use gddr_core::MlpPolicy;
     use gddr_net::topology::zoo;
@@ -998,7 +901,34 @@ mod tests {
     }
 
     fn controller(plan: FaultPlan, config: ControllerConfig) -> Controller {
-        Controller::new(zoo::cesnet(), env_cfg(), config, factory(Arc::new(plan)))
+        Controller::with_shard(zoo::cesnet(), env_cfg(), config, factory(Arc::new(plan)), 0)
+    }
+
+    /// A one-replica set: the admission queue in front of a controller.
+    fn single_set(plan: FaultPlan, config: ControllerConfig) -> ReplicaSet {
+        ReplicaSet::new(
+            0,
+            zoo::cesnet(),
+            env_cfg(),
+            config,
+            vec![factory(Arc::new(plan))],
+            FailoverConfig::default(),
+            HedgeConfig::default(),
+        )
+        .unwrap()
+    }
+
+    fn admitted(req: EpochRequest, ctx: TraceCtx) -> Admitted {
+        Admitted {
+            req,
+            ctx,
+            admitted_at: Instant::now(),
+        }
+    }
+
+    /// Serves `req` untraced as a one-item run.
+    fn handle(c: &mut Controller, req: EpochRequest) -> Vec<RouteResponse> {
+        c.serve_batch(&[admitted(req, TraceCtx::default())])
     }
 
     fn request(epoch: u64, seed: u64) -> EpochRequest {
@@ -1014,7 +944,7 @@ mod tests {
     fn healthy_path_serves_fresh_scored_routings() {
         let mut c = controller(FaultPlan::new(), ControllerConfig::default());
         for e in 0..5 {
-            let responses = c.handle(request(e, 100));
+            let responses = handle(&mut c, request(e, 100));
             assert_eq!(responses.len(), 1);
             let r = &responses[0];
             assert_eq!(r.rung, Rung::Fresh);
@@ -1041,18 +971,18 @@ mod tests {
         config.pool.restart_budget = 0;
         let mut c = controller(plan, config);
 
-        let fresh = c.handle(request(1, 100)).remove(0);
+        let fresh = handle(&mut c, request(1, 100)).remove(0);
         assert_eq!(fresh.rung, Rung::Fresh);
 
         // Epoch 2 panics, slot dies; last_good (stamped at serving
         // epoch 1) serves while within staleness 3 (epochs 2..=4).
         for e in 2..=4 {
-            let r = c.handle(request(e, 100)).remove(0);
+            let r = handle(&mut c, request(e, 100)).remove(0);
             assert_eq!(r.rung, Rung::LastGood, "epoch {e}");
         }
         assert_eq!(c.alive_workers(), 0);
         assert_eq!(c.health(), HealthState::Unhealthy);
-        let r = c.handle(request(5, 100)).remove(0);
+        let r = handle(&mut c, request(5, 100)).remove(0);
         assert_eq!(r.rung, Rung::Ecmp);
 
         // With ECMP disabled the last rung is shortest path.
@@ -1064,7 +994,7 @@ mod tests {
         config.pool.workers = 1;
         config.pool.restart_budget = 0;
         let mut c = controller(plan, config);
-        let r = c.handle(request(0, 100)).remove(0);
+        let r = handle(&mut c, request(0, 100)).remove(0);
         assert_eq!(r.rung, Rung::ShortestPath);
         assert!(r.routing.validate(c.graph()).is_empty());
     }
@@ -1073,10 +1003,10 @@ mod tests {
     fn deadline_miss_degrades_and_feeds_the_breaker() {
         let plan = FaultPlan::new().span(1..=8, Fault::Slow { cost_ms: 99 });
         let mut c = controller(plan, ControllerConfig::default());
-        let r = c.handle(request(0, 100)).remove(0);
+        let r = handle(&mut c, request(0, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
         for e in 1..=8 {
-            let r = c.handle(request(e, 100)).remove(0);
+            let r = handle(&mut c, request(e, 100)).remove(0);
             assert_eq!(r.rung, Rung::LastGood);
             assert!(matches!(
                 r.degraded_reason,
@@ -1092,20 +1022,20 @@ mod tests {
     fn garbage_actions_fall_back_without_poisoning_last_good() {
         let plan = FaultPlan::new().at(1, Fault::Garbage);
         let mut c = controller(plan, ControllerConfig::default());
-        let r = c.handle(request(0, 100)).remove(0);
+        let r = handle(&mut c, request(0, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
-        let r = c.handle(request(1, 100)).remove(0);
+        let r = handle(&mut c, request(1, 100)).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
         assert!(matches!(r.degraded_reason, Some(ServeError::BadAction(_))));
         // Recovery on the next clean epoch.
-        let r = c.handle(request(2, 100)).remove(0);
+        let r = handle(&mut c, request(2, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
     }
 
     #[test]
     fn invalid_demands_are_answered_from_the_ladder() {
         let mut c = controller(FaultPlan::new(), ControllerConfig::default());
-        c.handle(request(0, 100));
+        handle(&mut c, request(0, 100));
 
         let inf = EpochRequest {
             epoch: 1,
@@ -1115,7 +1045,7 @@ mod tests {
             ),
             deadline_ms: DEFAULT_DEADLINE_MS,
         };
-        let r = c.handle(inf).remove(0);
+        let r = handle(&mut c, inf).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
         assert!(matches!(
             r.degraded_reason,
@@ -1127,7 +1057,7 @@ mod tests {
             demands: DemandMatrix::zeros(9),
             deadline_ms: DEFAULT_DEADLINE_MS,
         };
-        let r = c.handle(wrong_size).remove(0);
+        let r = handle(&mut c, wrong_size).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
 
         let zero_deadline = EpochRequest {
@@ -1135,11 +1065,11 @@ mod tests {
             demands: request(3, 100).demands,
             deadline_ms: 0,
         };
-        let r = c.handle(zero_deadline).remove(0);
+        let r = handle(&mut c, zero_deadline).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
 
         // Valid traffic still reaches fresh inference afterwards.
-        let r = c.handle(request(4, 100)).remove(0);
+        let r = handle(&mut c, request(4, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
     }
 
@@ -1150,25 +1080,26 @@ mod tests {
             ..ControllerConfig::default()
         };
         config.pool.workers = 1;
-        let mut c = controller(FaultPlan::new(), config);
+        let mut set = single_set(FaultPlan::new(), config);
         // Prime last_good.
-        c.handle(request(0, 100));
+        set.handle(request(0, 100), 1);
 
         let mut responses = Vec::new();
         for e in 1..=5 {
-            responses.extend(c.enqueue(request(e, 100)));
+            responses.extend(set.enqueue(request(e, 100)));
         }
-        while let Some(r) = c.process_next() {
+        while let Some(r) = set.process_next() {
             responses.push(r);
         }
         // 5 submitted → 5 answered: 3 shed (oldest), 2 processed.
         assert_eq!(responses.len(), 5);
         let shed: Vec<_> = responses.iter().filter(|r| r.shed).collect();
         assert_eq!(shed.len(), 3);
-        assert_eq!(c.stats().shed, 3);
+        assert_eq!(set.with_primary(|c| c.stats().shed), 3);
+        let graph = set.with_primary(|c| c.graph().clone());
         for r in &shed {
             assert_ne!(r.rung, Rung::Fresh);
-            assert!(r.routing.validate(c.graph()).is_empty());
+            assert!(r.routing.validate(&graph).is_empty());
         }
         let epochs: Vec<u64> = shed.iter().map(|r| r.epoch).collect();
         assert_eq!(epochs, vec![1, 2, 3]);
@@ -1177,7 +1108,7 @@ mod tests {
     #[test]
     fn apply_topology_rebuilds_and_invalidates_last_good() {
         let mut c = controller(FaultPlan::new(), ControllerConfig::default());
-        c.handle(request(0, 100));
+        handle(&mut c, request(0, 100));
         assert!(c.stats().fresh == 1);
 
         let mut injector = gddr_core::FailureInjector::from_seed(2, 5);
@@ -1186,7 +1117,7 @@ mod tests {
         c.apply_topology(degraded.clone()).unwrap();
         assert_eq!(c.graph().num_edges(), degraded.num_edges());
 
-        let r = c.handle(request(1, 100)).remove(0);
+        let r = handle(&mut c, request(1, 100)).remove(0);
         // Last-good was invalidated; fresh inference on the new graph.
         assert_eq!(r.rung, Rung::Fresh);
         assert!(r.routing.validate(&degraded).is_empty());
@@ -1199,28 +1130,22 @@ mod tests {
     #[test]
     fn coalesced_serving_matches_sequential_bitwise() {
         // Two identically seeded controllers: one serves 4 same-tick
-        // requests per tick sequentially, the other coalesces each
-        // tick into a single batched dispatch. Every response field
-        // that matters must match bit for bit.
+        // requests per tick as one-item runs, the other serves each
+        // tick as a single 4-item run with one batched dispatch. Every
+        // response field that matters must match bit for bit.
         let mut seq = controller(FaultPlan::new(), ControllerConfig::default());
         let mut coal = controller(FaultPlan::new(), ControllerConfig::default());
         for tick in 0..3u64 {
             let reqs: Vec<EpochRequest> = (0..4).map(|c| request(tick, 300 + c * 17)).collect();
             let mut a = Vec::new();
             for r in reqs.clone() {
-                a.extend(seq.handle(r));
+                a.extend(handle(&mut seq, r));
             }
-            let mut b = Vec::new();
-            for r in reqs {
-                b.extend(coal.enqueue(r));
-            }
-            loop {
-                let served = coal.process_coalesced(8);
-                if served.is_empty() {
-                    break;
-                }
-                b.extend(served);
-            }
+            let run: Vec<Admitted> = reqs
+                .into_iter()
+                .map(|r| admitted(r, TraceCtx::default()))
+                .collect();
+            let b = coal.serve_batch(&run);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.rung, y.rung, "tick {tick}");
@@ -1235,16 +1160,16 @@ mod tests {
 
     #[test]
     fn coalescing_stops_at_tick_boundaries() {
-        let mut c = controller(FaultPlan::new(), ControllerConfig::default());
+        let mut set = single_set(FaultPlan::new(), ControllerConfig::default());
         // Three clients at tick 0, then one at tick 1.
         for (i, tick) in [(0u64, 0u64), (1, 0), (2, 0), (3, 1)] {
-            c.enqueue(request(tick, 400 + i));
+            set.enqueue(request(tick, 400 + i));
         }
-        let first = c.process_coalesced(8);
+        let first = set.process_coalesced(8);
         assert_eq!(first.len(), 3, "tick-0 run coalesces together");
-        let second = c.process_coalesced(8);
+        let second = set.process_coalesced(8);
         assert_eq!(second.len(), 1, "tick-1 request serves alone");
-        assert!(c.process_coalesced(8).is_empty());
+        assert!(set.process_coalesced(8).is_empty());
     }
 
     #[test]
@@ -1263,13 +1188,12 @@ mod tests {
     #[test]
     fn trace_context_flows_to_the_response() {
         let mut c = controller(FaultPlan::new(), ControllerConfig::default());
-        let ctx = gddr_telemetry::TraceCtx::mint(0, 5);
-        assert!(c.enqueue_traced(request(5, 100), ctx).is_empty());
-        let r = c.process_coalesced(8).remove(0);
+        let ctx = TraceCtx::mint(0, 5);
+        let r = c.serve_batch(&[admitted(request(5, 100), ctx)]).remove(0);
         assert_eq!(r.trace_id, ctx.trace_id);
         assert!(r.latency_ns > 0);
         // Untraced admission keeps the zero sentinel.
-        let r = c.handle(request(6, 100)).remove(0);
+        let r = handle(&mut c, request(6, 100)).remove(0);
         assert_eq!(r.trace_id, 0);
     }
 
@@ -1287,7 +1211,7 @@ mod tests {
             config.slo.window = 16;
             let mut c = controller(plan, config);
             for e in 0..30 {
-                c.handle(request(e, 100));
+                handle(&mut c, request(e, 100));
             }
             assert!(c.slo().breached());
             assert!(c.slo().burn_rate() >= 4.0);
@@ -1305,7 +1229,7 @@ mod tests {
         let mut a = controller(FaultPlan::new(), ControllerConfig::default());
         let mut last_fresh = None;
         for e in 0..6 {
-            last_fresh = Some(a.handle(request(e, 100)).remove(0));
+            last_fresh = Some(handle(&mut a, request(e, 100)).remove(0));
         }
         assert_eq!(a.stats().fresh, 6);
         let snap = a.export_state();
@@ -1318,19 +1242,19 @@ mod tests {
 
         // Warm window: inference is skipped and the *restored* LastGood
         // routing answers — never a cold baseline.
-        let r = b.handle(request(6, 100)).remove(0);
+        let r = handle(&mut b, request(6, 100)).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
         assert_eq!(r.routing, last_fresh.expect("six responses").routing);
         assert!(matches!(
             r.degraded_reason,
             Some(ServeError::WarmRestart { until_epoch: 8 })
         ));
-        let r = b.handle(request(7, 100)).remove(0);
+        let r = handle(&mut b, request(7, 100)).remove(0);
         assert_eq!(r.rung, Rung::LastGood);
 
         // Past the window: fresh inference resumes on the history the
         // warm responses accumulated.
-        let r = b.handle(request(8, 100)).remove(0);
+        let r = handle(&mut b, request(8, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
         assert_eq!(b.stats().fresh, 7);
         assert_eq!(b.stats().last_good, 2);
@@ -1341,7 +1265,7 @@ mod tests {
     #[test]
     fn restore_rejects_malformed_snapshots_untouched() {
         let mut c = controller(FaultPlan::new(), ControllerConfig::default());
-        c.handle(request(0, 100));
+        handle(&mut c, request(0, 100));
         assert!(c.restore_state(&gddr_ser::Json::Null, 1).is_err());
 
         let tampered = c.export_state().to_string().replace("healthy", "zombie");
@@ -1351,7 +1275,7 @@ mod tests {
         // The failed restores left the controller untouched.
         assert_eq!(c.warm_until(), 0);
         assert_eq!(c.stats().fresh, 1);
-        let r = c.handle(request(1, 100)).remove(0);
+        let r = handle(&mut c, request(1, 100)).remove(0);
         assert_eq!(r.rung, Rung::Fresh);
     }
 
@@ -1361,7 +1285,7 @@ mod tests {
         c.oracle().inject_pivot_limit(5);
         let mut rungs = Vec::new();
         for e in 0..24 {
-            let r = c.handle(request(e, 200)).remove(0);
+            let r = handle(&mut c, request(e, 200)).remove(0);
             rungs.push(r.rung);
         }
         // Scoring failures never degrade the rung.

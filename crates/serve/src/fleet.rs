@@ -7,8 +7,9 @@
 //! Requests are routed by topology name, coalesced per shard when
 //! consecutive requests carry the same client epoch (distinct clients
 //! observing the same tick), and answered from **one** batched
-//! inference pass per coalesced run — bit-identical to per-request
-//! serving (see [`Controller::process_coalesced`]).
+//! inference pass per coalesced run — bit-identical to serving the
+//! same requests as one-item runs (see
+//! [`ReplicaSet::process_coalesced`]).
 //!
 //! Thread layout is thread-per-core style: every shard owns its own
 //! bounded admission queue (inside its replica set), worker threads
@@ -704,6 +705,22 @@ mod tests {
                 .err()
                 .expect("zero knob must be rejected");
             assert!(matches!(err, ServeError::Config(_)));
+        }
+        let mut zero_workers = ControllerConfig::default();
+        zero_workers.pool.workers = 0;
+        for bad in [
+            ControllerConfig {
+                queue_capacity: 0,
+                ..ControllerConfig::default()
+            },
+            zero_workers,
+        ] {
+            let mut router = ShardRouter::new(FleetConfig::default()).unwrap();
+            let err = router
+                .add_shard("cesnet", zoo::cesnet(), env_cfg(), bad, factory(7))
+                .expect_err("zero knob must be rejected");
+            assert!(matches!(err, ServeError::Config(_)));
+            assert_eq!(router.shard_count(), 0);
         }
     }
 

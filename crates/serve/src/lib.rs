@@ -21,17 +21,22 @@
 //!   discarded),
 //! - [`breaker`] — a circuit breaker on the strict LP-oracle scoring
 //!   path (closed → open on consecutive failures → half-open probe),
-//! - [`queue`] — a bounded admission queue that sheds oldest on
-//!   overload; shed requests are still answered from the ladder,
+//! - [`queue`] — the bounded admission queue, owned by each replica
+//!   set, that sheds oldest on overload; shed requests are still
+//!   answered from the ladder,
 //! - [`health`] — Starting/Healthy/Degraded/Unhealthy, derived after
 //!   every response and streamed as telemetry,
 //! - [`fleet`] — a sharded multi-topology router: one supervised
-//!   controller per topology, same-tick requests coalesced into a
-//!   single batched GNN forward pass (bit-identical to per-request
-//!   inference), thread-per-core shard draining with work stealing,
-//! - [`replica`] — self-healing replica sets behind each shard:
-//!   N controllers in lockstep, deterministic health-driven failover
-//!   with hysteresis on a seeded count-based clock, hedged dispatch to
+//!   replica set per topology, same-tick requests coalesced into a
+//!   single batched GNN forward pass (bit-identical to one-item runs),
+//!   thread-per-core shard draining with work stealing,
+//! - [`replica`] — self-healing replica sets behind each shard, and
+//!   the one admission queue and serving entry point: a request is
+//!   admitted by the set, and its primary serves each coalesced run
+//!   through the one inference path (`Controller::serve_batch` →
+//!   [`WorkerPool::dispatch_batch`]). N controllers run in lockstep
+//!   under deterministic health-driven failover with hysteresis on a
+//!   seeded count-based clock, with hedged dispatch to
 //!   a standby when the primary straggles, and shadow-probe recovery
 //!   of demoted primaries,
 //! - [`snapshot`] — crash-consistent durability: the fleet
@@ -54,8 +59,9 @@
 //!   file; the `chaos_harness` bench binary drives them.
 //!
 //! Observability is request-scoped: the fleet mints a
-//! `gddr_telemetry::TraceCtx` per admitted request, the controller
-//! emits `fleet.admitted` / `fleet.response` annotations and the
+//! `gddr_telemetry::TraceCtx` per admitted request, the replica set
+//! emits a `fleet.admitted` annotation, the controller a
+//! `fleet.response` annotation, and the
 //! worker pool a `serve.infer` span per traced batch item, and every
 //! response carries its trace id and end-to-end latency. A streaming
 //! SLO tracker per controller converts the response stream into

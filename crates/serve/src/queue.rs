@@ -1,8 +1,10 @@
 //! Bounded admission queue with shed-oldest overflow.
 //!
-//! Load shedding here never means dropping a request on the floor:
-//! shed requests are returned to the controller, which still answers
-//! them from the degradation ladder (skipping inference). The queue
+//! This is the serving stack's one admission queue; each
+//! [`ReplicaSet`](crate::replica::ReplicaSet) owns one. Load shedding
+//! here never means dropping a request on the floor: shed requests
+//! are returned to the set, whose primary still answers them from the
+//! degradation ladder (skipping inference). The queue
 //! only decides *which* requests lose their inference slot — the
 //! oldest, whose traffic matrices are already going stale.
 //!
@@ -88,18 +90,15 @@ impl AdmissionQueue {
         self.items.pop_front()
     }
 
-    /// The oldest pending entry, without removing it (used by the
-    /// controller to decide whether the next request coalesces into
-    /// the current batch).
+    /// The oldest pending entry, without removing it (used to decide
+    /// whether the next request coalesces into the current batch).
     pub fn peek(&self) -> Option<&Admitted> {
         self.items.front()
     }
 
     /// Pops a coalescable run: up to `window` consecutive pending
     /// entries sharing the oldest entry's client epoch. This is the
-    /// one batching rule of the fleet — both the single-controller
-    /// path and replica sets pop runs through here so they coalesce
-    /// identically.
+    /// one batching rule of the fleet.
     pub fn pop_run(&mut self, window: usize) -> Vec<Admitted> {
         let mut run = Vec::new();
         let Some(first) = self.pop() else {

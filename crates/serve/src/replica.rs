@@ -167,8 +167,9 @@ impl ReplicaStats {
 }
 
 /// N controllers serving one topology behind one bounded admission
-/// queue. With a single replica the set is a transparent wrapper:
-/// responses are bit-identical to driving the controller directly.
+/// queue — the only admission queue in the serving stack. With a
+/// single replica the set is a transparent wrapper: responses are
+/// bit-identical to `Controller::serve_batch` on the same runs.
 pub struct ReplicaSet {
     shard: u64,
     queue: AdmissionQueue,
@@ -200,7 +201,8 @@ impl ReplicaSet {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Config`] when `factories` is empty.
+    /// Returns [`ServeError::Config`] when `factories` is empty, or
+    /// `config` has a zero queue capacity or zero pool workers.
     pub fn new(
         shard: u64,
         graph: Graph,
@@ -213,6 +215,16 @@ impl ReplicaSet {
         if factories.is_empty() {
             return Err(ServeError::Config(
                 "replica set needs at least one engine factory".to_string(),
+            ));
+        }
+        if config.queue_capacity == 0 {
+            return Err(ServeError::Config(
+                "admission queue needs positive capacity".to_string(),
+            ));
+        }
+        if config.pool.workers == 0 {
+            return Err(ServeError::Config(
+                "worker pool needs at least one worker".to_string(),
             ));
         }
         let queue = AdmissionQueue::new(config.queue_capacity);
@@ -533,7 +545,7 @@ impl ReplicaSet {
         if run.is_empty() {
             return Vec::new();
         }
-        self.serve_run(run)
+        self.serve_run(&run)
     }
 
     /// Convenience: enqueue then drain, coalescing with `window`.
@@ -556,14 +568,13 @@ impl ReplicaSet {
     fn answer_shed(&mut self, victim: Admitted) -> RouteResponse {
         self.stats.shed += 1;
         gddr_telemetry::request_shed_event(self.shard, victim.req.epoch, self.queue.len() as u64);
-        let req = victim.req.clone();
         let primary = self.primary;
         for (i, replica) in self.replicas.iter_mut().enumerate() {
             if i != primary {
-                replica.controller.observe_passive(&req);
+                replica.controller.observe_passive(&victim.req);
             }
         }
-        let resp = self.replicas[primary].controller.serve(victim, true);
+        let resp = self.replicas[primary].controller.answer_shed(&victim);
         self.clock += 1;
         resp
     }
@@ -612,26 +623,10 @@ impl ReplicaSet {
             .find(|&i| self.replicas[i].state == ReplicaState::Eligible)
     }
 
-    fn serve_run(&mut self, run: Vec<Admitted>) -> Vec<RouteResponse> {
+    fn serve_run(&mut self, run: &[Admitted]) -> Vec<RouteResponse> {
         let primary = self.primary;
-        // Single-replica fast path: no standby to hedge to or keep in
-        // lockstep, so skip the batch clone entirely — this is the
-        // zero-overhead legacy fleet configuration.
-        if self.replicas.len() == 1 && !self.hedge.enabled {
-            let responses = self.replicas[primary].controller.serve_batch(run);
-            for resp in &responses {
-                self.clock += 1;
-                if resp.rung == Rung::Fresh {
-                    self.consecutive_bad = 0;
-                } else {
-                    self.consecutive_bad += 1;
-                }
-            }
-            return responses;
-        }
         let tick = run[0].req.epoch;
-        let reqs: Vec<EpochRequest> = run.iter().map(|a| a.req.clone()).collect();
-        let mut responses = self.replicas[primary].controller.serve_batch(run.clone());
+        let mut responses = self.replicas[primary].controller.serve_batch(run);
 
         // The primary's own rungs drive health/failover accounting —
         // captured before hedged answers can overwrite them.
@@ -645,18 +640,9 @@ impl ReplicaSet {
                 hedged_standby = Some(standby);
                 self.hedge_generation += 1;
                 self.stats.hedges_fired += 1;
-                // Traces stay with the primary attempt: the duplicate
-                // serve is untraced so per-trace completeness checks
-                // (exactly one admission, one response) still hold.
-                let stripped: Vec<Admitted> = run
-                    .iter()
-                    .cloned()
-                    .map(|mut a| {
-                        a.ctx = TraceCtx::default();
-                        a
-                    })
-                    .collect();
-                let standby_responses = self.replicas[standby].controller.serve_batch(stripped);
+                let standby_responses = self.replicas[standby]
+                    .controller
+                    .serve_batch(&untraced(run));
                 let mut wins = 0u64;
                 for ((p, s), admitted) in
                     responses.iter_mut().zip(standby_responses).zip(run.iter())
@@ -708,10 +694,10 @@ impl ReplicaSet {
                 continue;
             }
             match self.replicas[i].state {
-                ReplicaState::Recovering { .. } => self.shadow_probe(i, &run),
+                ReplicaState::Recovering { .. } => self.shadow_probe(i, run),
                 ReplicaState::Eligible => {
-                    for req in &reqs {
-                        self.replicas[i].controller.observe_passive(req);
+                    for admitted in run {
+                        self.replicas[i].controller.observe_passive(&admitted.req);
                     }
                 }
             }
@@ -734,15 +720,7 @@ impl ReplicaSet {
     /// Shadow-serves `run` on a recovering replica (responses
     /// discarded) and scores its probe window.
     fn shadow_probe(&mut self, idx: usize, run: &[Admitted]) {
-        let stripped: Vec<Admitted> = run
-            .iter()
-            .cloned()
-            .map(|mut a| {
-                a.ctx = TraceCtx::default();
-                a
-            })
-            .collect();
-        let shadow = self.replicas[idx].controller.serve_batch(stripped);
+        let shadow = self.replicas[idx].controller.serve_batch(&untraced(run));
         let ReplicaState::Recovering { probes, fresh } = &mut self.replicas[idx].state else {
             unreachable!("shadow_probe called on a non-recovering replica");
         };
@@ -817,6 +795,18 @@ impl ReplicaSet {
         });
         gddr_telemetry::failover_event(self.shard, from as u64, next as u64, reason, self.clock);
     }
+}
+
+/// Trace-stripped copy of `run` for a duplicate serve (hedge or shadow
+/// probe): traces stay with the primary attempt, so per-trace
+/// completeness checks (one admission, one response) still hold.
+fn untraced(run: &[Admitted]) -> Vec<Admitted> {
+    run.iter()
+        .map(|a| Admitted {
+            ctx: TraceCtx::default(),
+            ..a.clone()
+        })
+        .collect()
 }
 
 fn replica_state_to_json(state: ReplicaState) -> Json {
@@ -1007,26 +997,25 @@ mod tests {
             HedgeConfig::default(),
         )
         .unwrap();
-        let mut solo = Controller::new(
+        let mut solo = Controller::with_shard(
             zoo::cesnet(),
             env_cfg(),
             ControllerConfig::default(),
             factory(Arc::new(FaultPlan::new()), 7),
+            0,
         );
         for tick in 0..4u64 {
+            let mut run = Vec::new();
             for client in 0..3u64 {
                 let req = request(tick, 500 + client * 13);
-                solo.enqueue(req.clone());
+                run.push(Admitted {
+                    req: req.clone(),
+                    ctx: TraceCtx::default(),
+                    admitted_at: std::time::Instant::now(),
+                });
                 set.enqueue(req);
             }
-            let mut a = Vec::new();
-            loop {
-                let served = solo.process_coalesced(8);
-                if served.is_empty() {
-                    break;
-                }
-                a.extend(served);
-            }
+            let a = solo.serve_batch(&run);
             let mut b = Vec::new();
             loop {
                 let served = set.process_coalesced(8);

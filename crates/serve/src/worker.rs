@@ -23,10 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gddr_net::Graph;
-use gddr_traffic::DemandMatrix;
 
 use crate::engine::{BatchItem, EngineFactory, InferenceEngine, InferenceReply};
-use crate::request::{EpochRequest, ServeError};
+use crate::request::ServeError;
 
 /// Pool tuning knobs.
 #[derive(Debug, Clone)]
@@ -359,38 +358,6 @@ impl WorkerPool {
         None
     }
 
-    /// Runs inference for `req` on some available slot, supervising
-    /// faults. Exactly one of the typed errors is returned when the
-    /// ladder must take over.
-    pub fn dispatch(
-        &mut self,
-        req: &EpochRequest,
-        history: &[DemandMatrix],
-        epoch: u64,
-    ) -> Result<InferenceReply, ServeError> {
-        self.dispatch_traced(req, history, epoch, gddr_telemetry::TraceCtx::default())
-    }
-
-    /// [`WorkerPool::dispatch`] with a trace context: a traced request
-    /// gets a `serve.infer` span (batch of one) for its forward pass.
-    pub fn dispatch_traced(
-        &mut self,
-        req: &EpochRequest,
-        history: &[DemandMatrix],
-        epoch: u64,
-        trace: gddr_telemetry::TraceCtx,
-    ) -> Result<InferenceReply, ServeError> {
-        let items = vec![BatchItem {
-            req: req.clone(),
-            history: history.to_vec(),
-            trace,
-        }];
-        self.dispatch_batch(items, epoch).map(|mut replies| {
-            debug_assert_eq!(replies.len(), 1);
-            replies.remove(0)
-        })
-    }
-
     /// Runs a coalesced batch on one available slot, supervising
     /// faults. On success there is exactly one reply per item, in
     /// order. On failure the whole batch degrades together — the
@@ -490,11 +457,13 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::engine::{ChaosEngine, Fault, FaultPlan, PolicyEngine};
+    use crate::request::EpochRequest;
     use gddr_core::MlpPolicy;
     use gddr_net::topology::zoo;
     use gddr_rng::rngs::StdRng;
     use gddr_rng::SeedableRng;
     use gddr_traffic::gen::{bimodal, BimodalParams};
+    use gddr_traffic::DemandMatrix;
 
     fn factory(plan: Arc<FaultPlan>) -> EngineFactory {
         Arc::new(move |graph: &Graph| {
@@ -521,8 +490,20 @@ mod tests {
         }
     }
 
-    fn history() -> Vec<DemandMatrix> {
-        vec![DemandMatrix::zeros(6); 2]
+    /// Runs `req` as an untraced one-item batch at `epoch`, with an
+    /// all-zero two-matrix history.
+    fn dispatch(
+        pool: &mut WorkerPool,
+        req: EpochRequest,
+        epoch: u64,
+    ) -> Result<InferenceReply, ServeError> {
+        let item = BatchItem {
+            req,
+            history: vec![DemandMatrix::zeros(6); 2],
+            trace: gddr_telemetry::TraceCtx::default(),
+        };
+        pool.dispatch_batch(vec![item], epoch)
+            .map(|mut replies| replies.remove(0))
     }
 
     #[test]
@@ -540,15 +521,15 @@ mod tests {
             },
             0,
         );
-        assert!(pool.dispatch(&request(0, 1), &history(), 0).is_ok());
-        let err = pool.dispatch(&request(1, 1), &history(), 1).unwrap_err();
+        assert!(dispatch(&mut pool, request(0, 1), 0).is_ok());
+        let err = dispatch(&mut pool, request(1, 1), 1).unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanicked(_)));
         assert_eq!(pool.restarts(), 1);
         // Backing off: epochs 2 (1 + backoff 2 = available from 3).
-        let err = pool.dispatch(&request(2, 1), &history(), 2).unwrap_err();
+        let err = dispatch(&mut pool, request(2, 1), 2).unwrap_err();
         assert!(matches!(err, ServeError::PoolExhausted));
         // Available again after the backoff.
-        assert!(pool.dispatch(&request(3, 1), &history(), 3).is_ok());
+        assert!(dispatch(&mut pool, request(3, 1), 3).is_ok());
         assert_eq!(pool.alive_workers(), 1);
     }
 
@@ -567,13 +548,13 @@ mod tests {
             },
             0,
         );
-        let err = pool.dispatch(&request(0, 1), &history(), 0).unwrap_err();
+        let err = dispatch(&mut pool, request(0, 1), 0).unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanicked(_)));
         // One restart spent; the next panic kills the slot.
-        let err = pool.dispatch(&request(1, 1), &history(), 1).unwrap_err();
+        let err = dispatch(&mut pool, request(1, 1), 1).unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanicked(_)));
         assert_eq!(pool.alive_workers(), 0);
-        let err = pool.dispatch(&request(2, 1), &history(), 2).unwrap_err();
+        let err = dispatch(&mut pool, request(2, 1), 2).unwrap_err();
         assert!(matches!(err, ServeError::PoolExhausted));
     }
 
@@ -595,10 +576,10 @@ mod tests {
             },
             0,
         );
-        assert!(pool.dispatch(&request(0, 1), &history(), 0).is_ok());
-        let err = pool.dispatch(&request(1, 1), &history(), 1).unwrap_err();
+        assert!(dispatch(&mut pool, request(0, 1), 0).is_ok());
+        let err = dispatch(&mut pool, request(1, 1), 1).unwrap_err();
         assert!(matches!(err, ServeError::WorkerPanicked(_)));
-        assert!(pool.dispatch(&request(2, 1), &history(), 2).is_ok());
+        assert!(dispatch(&mut pool, request(2, 1), 2).is_ok());
         assert_eq!(pool.alive_workers(), 2);
         assert!(pool.heartbeat(0).unwrap_or(0) + pool.heartbeat(1).unwrap_or(0) > 0);
         std::panic::set_hook(prev_hook);
@@ -620,12 +601,12 @@ mod tests {
             },
             0,
         );
-        let err = pool.dispatch(&request(0, 1), &history(), 0).unwrap_err();
+        let err = dispatch(&mut pool, request(0, 1), 0).unwrap_err();
         assert!(matches!(err, ServeError::WorkerHung));
         // The replacement slot answers; the straggler reply from the
         // abandoned generation is discarded by the generation tag.
-        assert!(pool.dispatch(&request(1, 1), &history(), 1).is_ok());
-        assert!(pool.dispatch(&request(2, 1), &history(), 2).is_ok());
+        assert!(dispatch(&mut pool, request(1, 1), 1).is_ok());
+        assert!(dispatch(&mut pool, request(2, 1), 2).is_ok());
     }
 
     #[test]
@@ -644,15 +625,15 @@ mod tests {
             0,
         );
         // Burn the budget: two panics kill the only slot.
-        let _ = pool.dispatch(&request(0, 1), &history(), 0);
-        let _ = pool.dispatch(&request(1, 1), &history(), 1);
+        let _ = dispatch(&mut pool, request(0, 1), 0);
+        let _ = dispatch(&mut pool, request(1, 1), 1);
         assert_eq!(pool.alive_workers(), 0);
         pool.revive();
         assert_eq!(pool.alive_workers(), 1);
         // The revived slot serves again past the fault window, and the
         // lifetime restart counter keeps its history (one in-budget
         // restart; the second panic killed the slot without one).
-        assert!(pool.dispatch(&request(5, 1), &history(), 5).is_ok());
+        assert!(dispatch(&mut pool, request(5, 1), 5).is_ok());
         assert_eq!(pool.restarts(), 1);
     }
 
@@ -672,8 +653,8 @@ mod tests {
             0,
         );
         // Slot 0 spends its one restart; slot 1 dies outright next.
-        let _ = pool.dispatch(&request(0, 1), &history(), 0);
-        let _ = pool.dispatch(&request(1, 1), &history(), 1);
+        let _ = dispatch(&mut pool, request(0, 1), 0);
+        let _ = dispatch(&mut pool, request(1, 1), 1);
         let (slots, total) = pool.budget_export();
         assert_eq!(slots.len(), 2);
 
@@ -707,6 +688,6 @@ mod tests {
         pool.retool(&graph);
         assert_eq!(pool.restarts(), 0);
         assert_eq!(pool.alive_workers(), 2);
-        assert!(pool.dispatch(&request(0, 1), &history(), 0).is_ok());
+        assert!(dispatch(&mut pool, request(0, 1), 0).is_ok());
     }
 }

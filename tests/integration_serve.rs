@@ -1,6 +1,7 @@
-//! Integration tests for the online serving controller: end-to-end
-//! ladder behaviour, the seeded admission/shedding property, and
-//! same-seed determinism of chaos scenarios.
+//! Integration tests for single-shard serving (a one-replica
+//! `ReplicaSet`: the admission queue in front of one controller):
+//! end-to-end ladder behaviour, the seeded admission/shedding property,
+//! and same-seed determinism of chaos scenarios.
 
 use std::sync::Arc;
 
@@ -10,8 +11,8 @@ use gddr_net::Graph;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
 use gddr_serve::{
-    scenario, Controller, ControllerConfig, EngineFactory, EpochRequest, FaultPlan,
-    InferenceEngine, PolicyEngine, Rung, DEFAULT_DEADLINE_MS,
+    scenario, ControllerConfig, EngineFactory, EpochRequest, FailoverConfig, FaultPlan,
+    HedgeConfig, InferenceEngine, PolicyEngine, ReplicaSet, Rung, DEFAULT_DEADLINE_MS,
 };
 use gddr_traffic::gen::{bimodal, BimodalParams};
 use gddr_traffic::DemandMatrix;
@@ -31,16 +32,20 @@ fn factory() -> EngineFactory {
     })
 }
 
-fn controller(config: ControllerConfig) -> Controller {
-    Controller::new(
+fn single_set(config: ControllerConfig) -> ReplicaSet {
+    ReplicaSet::new(
+        0,
         zoo::cesnet(),
         DdrEnvConfig {
             memory: 3,
             ..DdrEnvConfig::default()
         },
         config,
-        factory(),
+        vec![factory()],
+        FailoverConfig::default(),
+        HedgeConfig::default(),
     )
+    .unwrap()
 }
 
 fn request(epoch: u64, rng: &mut StdRng) -> EpochRequest {
@@ -53,17 +58,18 @@ fn request(epoch: u64, rng: &mut StdRng) -> EpochRequest {
 
 #[test]
 fn end_to_end_serving_is_fresh_and_valid() {
-    let mut c = controller(ControllerConfig::default());
+    let mut set = single_set(ControllerConfig::default());
+    let graph = set.with_primary(|c| c.graph().clone());
     let mut rng = StdRng::seed_from_u64(1);
     for e in 0..10 {
-        let responses = c.handle(request(e, &mut rng));
+        let responses = set.handle(request(e, &mut rng), 1);
         assert_eq!(responses.len(), 1);
         let r = &responses[0];
         assert_eq!(r.rung, Rung::Fresh);
-        assert!(r.routing.validate(c.graph()).is_empty());
+        assert!(r.routing.validate(&graph).is_empty());
         assert!(r.score.is_some());
     }
-    assert_eq!(c.stats().responses(), 10);
+    assert_eq!(set.with_primary(|c| c.stats().responses()), 10);
 }
 
 /// The load-shedding property (seeded loop): under arbitrary burst
@@ -79,7 +85,8 @@ fn admission_never_drops_and_sheds_only_what_the_ladder_answers() {
             ..ControllerConfig::default()
         };
         config.pool.workers = 1;
-        let mut c = controller(config);
+        let mut set = single_set(config);
+        let graph = set.with_primary(|c| c.graph().clone());
         let mut rng = StdRng::seed_from_u64(seed);
         let mut submitted = 0u64;
         let mut answered = 0u64;
@@ -90,16 +97,16 @@ fn admission_never_drops_and_sheds_only_what_the_ladder_answers() {
             let burst = 1 + (rng.next_u64() % 7);
             let mut responses = Vec::new();
             for _ in 0..burst {
-                responses.extend(c.enqueue(request(submitted, &mut rng)));
+                responses.extend(set.enqueue(request(submitted, &mut rng)));
                 submitted += 1;
             }
-            while let Some(r) = c.process_next() {
+            while let Some(r) = set.process_next() {
                 responses.push(r);
             }
             for r in &responses {
                 answered += 1;
                 assert!(
-                    r.routing.validate(c.graph()).is_empty(),
+                    r.routing.validate(&graph).is_empty(),
                     "seed {seed}: response without a valid routing"
                 );
                 if r.shed {
@@ -118,7 +125,7 @@ fn admission_never_drops_and_sheds_only_what_the_ladder_answers() {
             answered, submitted,
             "seed {seed}: {submitted} submitted but {answered} answered"
         );
-        assert_eq!(c.stats().shed, shed_seen);
+        assert_eq!(set.with_primary(|c| c.stats().shed), shed_seen);
         // The queue bound (3) must actually bite under 7-bursts.
         assert!(shed_seen > 0, "seed {seed}: shedding never exercised");
     }
@@ -126,10 +133,11 @@ fn admission_never_drops_and_sheds_only_what_the_ladder_answers() {
 
 #[test]
 fn malformed_requests_never_go_unanswered() {
-    let mut c = controller(ControllerConfig::default());
+    let mut set = single_set(ControllerConfig::default());
+    let graph = set.with_primary(|c| c.graph().clone());
     let mut rng = StdRng::seed_from_u64(3);
     // Prime the ladder.
-    c.handle(request(0, &mut rng));
+    set.handle(request(0, &mut rng), 1);
 
     let weird = vec![
         EpochRequest {
@@ -154,12 +162,12 @@ fn malformed_requests_never_go_unanswered() {
         },
     ];
     for req in weird {
-        let responses = c.handle(req);
+        let responses = set.handle(req, 1);
         assert_eq!(responses.len(), 1);
         assert_ne!(responses[0].rung, Rung::Fresh);
-        assert!(responses[0].routing.validate(c.graph()).is_empty());
+        assert!(responses[0].routing.validate(&graph).is_empty());
     }
-    assert_eq!(c.stats().responses(), 5);
+    assert_eq!(set.with_primary(|c| c.stats().responses()), 5);
 }
 
 /// Same seed, same scenario → bit-identical rung sequences; different
