@@ -9,8 +9,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use gddr_lp::simplex::solve;
-use gddr_lp::{mcf, LinearProgram, LpError, Relation};
+use gddr_lp::simplex::{resolve, solve, solve_with_basis};
+use gddr_lp::{mcf, CachedOracle, LinearProgram, LpError, Relation, SolveOptions};
 use gddr_net::topology::random::erdos_renyi;
 use gddr_net::topology::{mutate, text};
 use gddr_net::{dot, Graph};
@@ -130,6 +130,7 @@ pub fn all_targets() -> &'static [&'static str] {
         "softmin_differential",
         "lp_certificate",
         "lp_differential",
+        "lp_resolve",
         "demand_matrix",
         "parse_topology_no_panic",
         "parse_dot_no_panic",
@@ -404,6 +405,97 @@ fn target_lp_differential(seed: u64, size: u64) -> Result<(), String> {
         }
         (Err(e), _) => fail(format!("simplex error on boxed LP: {e}")),
     }
+}
+
+/// `lp` with its rhs moved so `x1` keeps every row's slack at `x`: a
+/// feasible neighbour sharing `A` and `c`.
+fn shifted_rhs(lp: &LinearProgram, x: &[f64], x1: &[f64]) -> LinearProgram {
+    let mut out = LinearProgram::new(lp.num_vars());
+    out.set_objective(lp.objective());
+    for (terms, rel, rhs) in lp.constraints() {
+        let lhs = |x: &[f64]| terms.iter().map(|&(v, c)| c * x[v]).sum::<f64>();
+        out.add_constraint(terms, rel, lhs(x1) + (rhs - lhs(x)));
+    }
+    out
+}
+
+/// The dual-simplex re-solve against cold solves: on a seeded LP with a
+/// shifted rhs it must match the cold optimum to 1e-9 and carry a clean
+/// certificate; on a random graph the cached oracle (re-solving from its
+/// reference after unrelated solves) must equal the free function bit
+/// for bit and Bland's cold solve to 1e-9.
+fn target_lp_resolve(seed: u64, size: u64) -> Result<(), String> {
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs() + 1e-12;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let lp = gen_feasible_lp(&mut rng, size);
+    // A duplicated equality keeps an artificial basic: nothing to
+    // re-solve from, which is a typed refusal, not a failure.
+    if let Ok((sol, basis)) = solve_with_basis(&lp, &SolveOptions::default()) {
+        let x1: Vec<f64> = sol
+            .x
+            .iter()
+            .map(|v| (v + rng.gen_range(-1.0..1.0)).max(0.0))
+            .collect();
+        let moved = shifted_rhs(&lp, &sol.x, &x1);
+        let cold = solve(&moved).map_err(|e| format!("shifted LP failed cold: {e}"))?;
+        let rhs: Vec<f64> = moved.constraints().map(|(_, _, rhs)| rhs).collect();
+        let warm = resolve(&basis, &rhs, &SolveOptions::default())
+            .map_err(|e| format!("resolve failed where the cold solve did not: {e}"))?;
+        if !close(warm.objective, cold.objective) {
+            return fail(format!(
+                "resolve objective {} vs cold {}",
+                warm.objective, cold.objective
+            ));
+        }
+        let violations = check_certificate(&moved, &warm, DEFAULT_TOL);
+        if let Some(first) = violations.first() {
+            return fail(format!("resolve certificate: {first}"));
+        }
+    }
+
+    let g = gen_graph(&mut rng, size.min(5));
+    let n = g.num_nodes();
+    let dm = match rng.gen_range(0u8..3) {
+        0 => gen_demand(&mut rng, n),
+        1 => {
+            let mut dm = gen_demand(&mut rng, n);
+            let s = rng.gen_range(0..n);
+            for t in (0..n).filter(|&t| t != s) {
+                dm.set(s, t, 0.0);
+            }
+            dm
+        }
+        _ => DemandMatrix::zeros(n),
+    };
+    let direct = mcf::min_max_utilisation(&g, &dm).map_err(|e| format!("oracle failed: {e}"))?;
+    let oracle = CachedOracle::new(g.clone());
+    for _ in 0..2 {
+        oracle
+            .u_opt(&gen_demand(&mut rng, n))
+            .map_err(|e| format!("unrelated solve failed: {e}"))?;
+    }
+    let cached = oracle
+        .u_opt(&dm)
+        .map_err(|e| format!("cached oracle failed: {e}"))?;
+    if cached.to_bits() != direct.u_max.to_bits() {
+        return fail(format!(
+            "cached U_opt {cached} differs from the direct {}",
+            direct.u_max
+        ));
+    }
+    let bland = SolveOptions {
+        bland_from_start: true,
+        max_pivots: None,
+    };
+    let cold = mcf::min_max_utilisation_with(&g, &dm, &bland)
+        .map_err(|e| format!("Bland cold solve failed: {e}"))?;
+    if !close(direct.u_max, cold.u_max) {
+        return fail(format!(
+            "re-solved U_opt {} vs Bland's cold {}",
+            direct.u_max, cold.u_max
+        ));
+    }
+    Ok(())
 }
 
 fn target_demand_matrix(seed: u64, size: u64) -> Result<(), String> {
@@ -1107,6 +1199,7 @@ pub fn run_case(case: &FuzzCase) -> Outcome {
             "softmin_differential" => target_softmin_differential(seed, size),
             "lp_certificate" => target_lp_certificate(seed, size),
             "lp_differential" => target_lp_differential(seed, size),
+            "lp_resolve" => target_lp_resolve(seed, size),
             "demand_matrix" => target_demand_matrix(seed, size),
             "parse_topology_no_panic" => target_parse_topology_no_panic(seed, size),
             "parse_dot_no_panic" => target_parse_dot_no_panic(seed, size),

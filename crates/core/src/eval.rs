@@ -276,7 +276,9 @@ pub fn prediction_baseline(
         for dm in &seq[config.memory..] {
             let window: Vec<&DemandMatrix> = history.iter().collect();
             let predicted = gddr_traffic::sequence::average(&window);
-            let sol = gddr_lp::mcf::min_max_utilisation(&ctx.graph, &predicted)
+            let sol = ctx
+                .oracle
+                .solve(&predicted)
                 .map_err(|e| CoreError::Oracle(format!("{e:?}")))?;
             let routing = Routing::from_destination_flows(&ctx.graph, &sol.flows);
             // The predicted-optimal routing may not cover commodities

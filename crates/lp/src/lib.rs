@@ -8,12 +8,23 @@
 //! provides:
 //!
 //! - [`simplex`]: a from-scratch two-phase dense primal simplex solver
-//!   with a Bland anti-cycling fallback,
+//!   with a Bland anti-cycling fallback and a sparse-row pivot kernel,
+//!   plus a revised dual simplex ([`simplex::resolve`]) that re-solves a
+//!   program under a new right-hand side from an optimal [`Basis`],
 //! - [`mcf`]: the destination-aggregated multicommodity-flow LP that
 //!   computes the optimal (minimum) maximum link utilisation `U_opt`
 //!   for a demand matrix — the denominator of the paper's reward
 //!   (Eq. 2) — plus a per-demand-matrix cache, since the paper's
 //!   cyclical sequences revisit the same matrices.
+//!
+//! Every exact `U_opt` comes from one deterministic path: the LP over
+//! **all** destinations, re-solved with the dual simplex from a
+//! per-topology *reference basis* (the cold optimum of the graph's
+//! capacity-gravity matrix, normalised to mean 1). Demands enter only
+//! the right-hand side, so that basis fits every matrix on the graph,
+//! and since it depends on the graph alone, `U_opt` is a pure function
+//! of (graph, demand matrix) — the same bits whatever was solved before
+//! and on any thread. A failed re-solve falls back to the cold solve.
 //!
 //! # Example
 //!
@@ -34,4 +45,4 @@ pub mod mcf;
 pub mod simplex;
 
 pub use mcf::{CacheStats, CachedOracle, McfSolution, OracleValue};
-pub use simplex::{LinearProgram, LpError, Relation, Solution, SolveOptions};
+pub use simplex::{Basis, LinearProgram, LpError, Relation, Solution, SolveOptions};

@@ -23,16 +23,39 @@
 //!
 //! `U` may exceed 1: the oracle measures over-utilisation rather than
 //! enforcing capacity, exactly like the paper's utilisation ratios.
+//!
+//! # One exact path: re-solves from a per-topology reference
+//!
+//! Demands enter only the right-hand side, so one optimal basis of a
+//! graph's LP stays dual-feasible for every demand matrix on that graph.
+//! The default solve therefore carries **all** `|V|` destinations (so
+//! one basis fits every matrix) and re-solves from a **reference
+//! basis** with the dual simplex ([`crate::simplex::resolve`]). The
+//! reference is a cold solve of the capacity-gravity matrix
+//! `cap_out(s)·cap_out(t)`, normalised to mean 1 over the `s ≠ t`
+//! pairs: close to real traffic in shape, so few dual pivots remain,
+//! and small enough in scale for phase 1's absolute feasibility test.
+//!
+//! The reference depends on the graph only, so every answer is a pure
+//! function of `(graph, demand matrix)`: the same bits whichever
+//! matrices were solved before and on whichever thread.
+//! [`CachedOracle`] builds its reference once, on its first miss; the
+//! free functions build one per call. If a re-solve fails for any
+//! reason, the oracle runs the cold two-phase solve over the
+//! destinations with demand (bumping the `lp.mcf.cold_fallbacks`
+//! counter), which is also what any non-default [`SolveOptions`] run.
 
 use std::collections::{HashMap, VecDeque};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use gddr_net::{Graph, NodeId};
 use gddr_traffic::DemandMatrix;
 
-use crate::simplex::{solve_with, LinearProgram, LpError, Relation, SolveOptions};
+use crate::simplex::{
+    resolve, solve_with, solve_with_basis, Basis, LinearProgram, LpError, Relation, SolveOptions,
+};
 
 /// The oracle's answer for one demand matrix.
 #[derive(Debug, Clone)]
@@ -66,7 +89,9 @@ impl McfSolution {
 }
 
 /// Solves the min-max-utilisation multicommodity flow LP with default
-/// solver options.
+/// solver options: a re-solve from the graph's reference basis, built
+/// for this call (see the module docs). Repeated solves on one graph
+/// should go through a [`CachedOracle`], which builds it once.
 ///
 /// # Errors
 ///
@@ -80,7 +105,9 @@ pub fn min_max_utilisation(graph: &Graph, dm: &DemandMatrix) -> Result<McfSoluti
 }
 
 /// [`min_max_utilisation`] under explicit [`SolveOptions`] — the entry
-/// point the resilient oracle's retry ladder uses.
+/// point the resilient oracle's retry ladder uses. Default options
+/// re-solve from the reference basis; any other options run the cold
+/// two-phase solve directly.
 ///
 /// # Errors
 ///
@@ -90,9 +117,47 @@ pub fn min_max_utilisation_with(
     dm: &DemandMatrix,
     opts: &SolveOptions,
 ) -> Result<McfSolution, LpError> {
+    solve_mcf(graph, dm, opts, &OnceLock::new())
+}
+
+/// The one exact path: validate, then re-solve from `reference` (built
+/// on first use) under default options, else solve cold.
+fn solve_mcf(
+    graph: &Graph,
+    dm: &DemandMatrix,
+    opts: &SolveOptions,
+    reference: &OnceLock<Result<Basis, LpError>>,
+) -> Result<McfSolution, LpError> {
     let _span = gddr_telemetry::span("lp.mcf.solve");
-    let n = graph.num_nodes();
+    check_demands(graph, dm)?;
+    if *opts == SolveOptions::default() {
+        let reference = reference.get_or_init(|| reference_basis(graph));
+        if let Ok(basis) = reference {
+            if let Ok(sol) = resolve(basis, &all_destination_rhs(graph, dm), opts) {
+                return Ok(all_destination_solution(graph, dm, &sol.x));
+            }
+        }
+        gddr_telemetry::counter_add("lp.mcf.cold_fallbacks", 1);
+    }
+    let dests: Vec<usize> = (0..graph.num_nodes())
+        .filter(|&t| dm.in_sum(t) > 0.0)
+        .collect();
+    let sol = solve_with(&build_lp(graph, dm, &dests), opts)?;
     let m = graph.num_edges();
+    let mut flows = vec![vec![0.0; m]; graph.num_nodes()];
+    for (d, &t) in dests.iter().enumerate() {
+        flows[t].copy_from_slice(&sol.x[d * m..(d + 1) * m]);
+    }
+    Ok(McfSolution {
+        u_max: sol.x[dests.len() * m],
+        flows,
+    })
+}
+
+/// Rejects a matrix that does not fit `graph` or holds a non-finite
+/// entry.
+fn check_demands(graph: &Graph, dm: &DemandMatrix) -> Result<(), LpError> {
+    let n = graph.num_nodes();
     if dm.num_nodes() != n {
         return Err(LpError::InvalidInput(format!(
             "demand matrix is {}x{0} but the graph has {n} nodes",
@@ -108,13 +173,18 @@ pub fn min_max_utilisation_with(
             }
         }
     }
+    Ok(())
+}
 
-    // Only destinations with any incoming demand need flow variables.
-    let dests: Vec<usize> = (0..n).filter(|&t| dm.in_sum(t) > 0.0).collect();
-    let num_x = dests.len() * m;
-    // Variable layout: x[d * m + e] for d-th destination, then U last.
-    let u_var = num_x;
-    let mut lp = LinearProgram::new(num_x + 1);
+/// The destination-aggregated LP over `dests`. Variable layout:
+/// `x[d * m + e]` for the `d`-th destination, then `U` last; rows: the
+/// conservation rows of each destination in turn (nodes ascending, the
+/// destination skipped), then one capacity row per edge.
+fn build_lp(graph: &Graph, dm: &DemandMatrix, dests: &[usize]) -> LinearProgram {
+    let n = graph.num_nodes();
+    let m = graph.num_edges();
+    let u_var = dests.len() * m;
+    let mut lp = LinearProgram::new(u_var + 1);
     lp.set_objective_coeff(u_var, 1.0);
 
     for (d, &t) in dests.iter().enumerate() {
@@ -133,24 +203,76 @@ pub fn min_max_utilisation_with(
         }
     }
     for e in 0..m {
-        let mut terms: Vec<(usize, f64)> = dests
-            .iter()
-            .enumerate()
-            .map(|(d, _)| (d * m + e, 1.0))
-            .collect();
+        let mut terms: Vec<(usize, f64)> = (0..dests.len()).map(|d| (d * m + e, 1.0)).collect();
         terms.push((u_var, -graph.capacity(gddr_net::EdgeId(e))));
         lp.add_constraint(&terms, Relation::Le, 0.0);
     }
+    lp
+}
 
-    let sol = solve_with(&lp, opts)?;
-    let mut flows = vec![vec![0.0; m]; n];
-    for (d, &t) in dests.iter().enumerate() {
-        flows[t].copy_from_slice(&sol.x[d * m..(d + 1) * m]);
+/// The reference matrix: `cap_out(s)·cap_out(t)` for `s ≠ t`, scaled
+/// to mean 1 over those pairs.
+fn reference_matrix(graph: &Graph) -> DemandMatrix {
+    let n = graph.num_nodes();
+    let cap_out: Vec<f64> = (0..n)
+        .map(|v| {
+            graph
+                .out_edges(NodeId(v))
+                .iter()
+                .map(|&e| graph.capacity(e))
+                .sum()
+        })
+        .collect();
+    let gravity = |s: usize, t: usize| if s == t { 0.0 } else { cap_out[s] * cap_out[t] };
+    let pairs = (n * n.saturating_sub(1)).max(1) as f64;
+    let total: f64 = (0..n)
+        .flat_map(|s| (0..n).map(move |t| (s, t)))
+        .map(|(s, t)| gravity(s, t))
+        .sum();
+    let scale = if total > 0.0 { pairs / total } else { 1.0 };
+    DemandMatrix::from_fn(n, |s, t| gravity(s, t) * scale)
+}
+
+/// Cold-solves the all-destination LP for the reference matrix and
+/// keeps its optimal basis.
+fn reference_basis(graph: &Graph) -> Result<Basis, LpError> {
+    let _span = gddr_telemetry::span("lp.mcf.reference");
+    let all: Vec<usize> = (0..graph.num_nodes()).collect();
+    let lp = build_lp(graph, &reference_matrix(graph), &all);
+    solve_with_basis(&lp, &SolveOptions::default()).map(|(_, basis)| basis)
+}
+
+/// Right-hand side of the all-destination LP for `dm`, in
+/// [`build_lp`]'s row order.
+fn all_destination_rhs(graph: &Graph, dm: &DemandMatrix) -> Vec<f64> {
+    let n = graph.num_nodes();
+    let mut rhs = Vec::with_capacity(n * n.saturating_sub(1) + graph.num_edges());
+    for t in 0..n {
+        rhs.extend((0..n).filter(|&v| v != t).map(|v| dm.get(v, t)));
     }
-    Ok(McfSolution {
-        u_max: sol.x[u_var],
+    rhs.resize(rhs.len() + graph.num_edges(), 0.0);
+    rhs
+}
+
+/// Unpacks an all-destination solution. A destination without demand
+/// can only carry a circulation, which never raises `U`, so its flows
+/// are reported as zero like the cold formulation's.
+fn all_destination_solution(graph: &Graph, dm: &DemandMatrix, x: &[f64]) -> McfSolution {
+    let n = graph.num_nodes();
+    let m = graph.num_edges();
+    let flows = (0..n)
+        .map(|t| {
+            if dm.in_sum(t) > 0.0 {
+                x[t * m..(t + 1) * m].to_vec()
+            } else {
+                vec![0.0; m]
+            }
+        })
+        .collect();
+    McfSolution {
+        u_max: x[n * m],
         flows,
-    })
+    }
 }
 
 /// Point-in-time cache statistics for a [`CachedOracle`].
@@ -210,6 +332,8 @@ pub struct CachedOracle {
     /// Outstanding forced `PivotLimit` failures — the fault-injection
     /// hook ([`CachedOracle::inject_pivot_limit`]).
     forced_failures: AtomicU64,
+    /// The graph's reference basis, built on the first miss.
+    reference: OnceLock<Result<Basis, LpError>>,
 }
 
 impl CachedOracle {
@@ -237,6 +361,7 @@ impl CachedOracle {
             evictions: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             forced_failures: AtomicU64::new(0),
+            reference: OnceLock::new(),
         }
     }
 
@@ -320,6 +445,22 @@ impl CachedOracle {
         gddr_telemetry::gauge_set("lp.oracle.entries", entries as f64);
     }
 
+    /// Solves `dm` exactly from this oracle's reference basis, bypassing
+    /// the cache: the full [`McfSolution`], bit-identical to
+    /// [`min_max_utilisation`] but without rebuilding the reference.
+    ///
+    /// # Errors
+    ///
+    /// As [`min_max_utilisation`].
+    pub fn solve(&self, dm: &DemandMatrix) -> Result<McfSolution, LpError> {
+        self.solve_with(dm, &SolveOptions::default())
+    }
+
+    /// [`min_max_utilisation_with`] on this oracle's graph and reference.
+    fn solve_with(&self, dm: &DemandMatrix, opts: &SolveOptions) -> Result<McfSolution, LpError> {
+        solve_mcf(&self.graph, dm, opts, &self.reference)
+    }
+
     /// The optimal max-link utilisation for `dm`, cached. Exact: a
     /// cached entry produced by the degraded fallback is re-solved with
     /// the real LP and replaced, so fallback bounds never leak through
@@ -343,7 +484,7 @@ impl CachedOracle {
         gddr_telemetry::counter_add("lp.oracle.misses", 1);
         let sol = {
             let _span = gddr_telemetry::span("lp.oracle.solve");
-            min_max_utilisation(&self.graph, dm)?
+            self.solve(dm)?
         };
         self.insert(key, sol.u_max, false);
         Ok(sol.u_max)
@@ -377,8 +518,7 @@ impl CachedOracle {
         let max_pivots = if forced { Some(0) } else { None };
         let sol = {
             let _span = gddr_telemetry::span("lp.oracle.solve");
-            min_max_utilisation_with(
-                &self.graph,
+            self.solve_with(
                 dm,
                 &SolveOptions {
                     bland_from_start: false,
@@ -423,8 +563,7 @@ impl CachedOracle {
         let max_pivots = if forced { Some(0) } else { None };
         let first = {
             let _span = gddr_telemetry::span("lp.oracle.solve");
-            min_max_utilisation_with(
-                &self.graph,
+            self.solve_with(
                 dm,
                 &SolveOptions {
                     bland_from_start: false,
@@ -442,8 +581,7 @@ impl CachedOracle {
             }
             Err(LpError::PivotLimit { .. }) => {
                 let _span = gddr_telemetry::span("lp.oracle.retry_bland");
-                match min_max_utilisation_with(
-                    &self.graph,
+                match self.solve_with(
                     dm,
                     &SolveOptions {
                         bland_from_start: true,
@@ -520,6 +658,7 @@ mod tests {
     use gddr_rng::rngs::StdRng;
     use gddr_rng::SeedableRng;
     use gddr_traffic::gen::{bimodal, BimodalParams};
+    use gddr_traffic::scenario::{diurnal_flash_crowd, FlashCrowdParams};
 
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "{a} != {b} (tol {tol})");
@@ -886,5 +1025,140 @@ mod tests {
             assert!(sol.u_max > 0.0, "{} gave zero utilisation", g.name());
             assert!(sol.u_max.is_finite());
         }
+    }
+
+    /// Today's cold solve over the destinations with demand, bypassing
+    /// the reference.
+    fn cold(g: &Graph, dm: &DemandMatrix) -> f64 {
+        let dests: Vec<usize> = (0..g.num_nodes()).filter(|&t| dm.in_sum(t) > 0.0).collect();
+        let sol = solve_with(&build_lp(g, dm, &dests), &SolveOptions::default()).unwrap();
+        sol.x[dests.len() * g.num_edges()]
+    }
+
+    /// `lp_scored`-style traffic: consecutive diurnal flash-crowd
+    /// matrices, then independent bimodal ones.
+    fn traffic(g: &Graph, seed: u64, diurnal: usize, bimodal_count: usize) -> Vec<DemandMatrix> {
+        let n = g.num_nodes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut dms = diurnal_flash_crowd(
+            n,
+            diurnal,
+            12,
+            0.3,
+            600.0 * (n * (n - 1)) as f64,
+            &FlashCrowdParams::default(),
+            &mut rng,
+        );
+        dms.extend((0..bimodal_count).map(|_| bimodal(n, &BimodalParams::default(), &mut rng)));
+        dms
+    }
+
+    #[test]
+    fn reference_matrix_is_capacity_gravity_with_mean_one() {
+        let g = zoo::abilene();
+        let n = g.num_nodes();
+        let dm = reference_matrix(&g);
+        assert_close(dm.total() / (n * (n - 1)) as f64, 1.0, 1e-12);
+        let cap_out =
+            |v: usize| -> f64 { g.out_edges(NodeId(v)).iter().map(|&e| g.capacity(e)).sum() };
+        let scale = dm.get(0, 1) / (cap_out(0) * cap_out(1));
+        for s in 0..n {
+            assert_eq!(dm.get(s, s), 0.0);
+            for t in (0..n).filter(|&t| t != s) {
+                assert_close(dm.get(s, t), scale * cap_out(s) * cap_out(t), 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_from_reference_matches_cold_solves() {
+        for g in zoo::all().into_iter().filter(|g| g.num_nodes() <= 14) {
+            let oracle = CachedOracle::new(g.clone());
+            for (i, dm) in traffic(&g, 21, 6, 2).iter().enumerate() {
+                let warm = oracle.solve(dm).unwrap().u_max;
+                let cold = cold(&g, dm);
+                assert!(
+                    (warm - cold).abs() <= 1e-9 * cold.abs(),
+                    "{} matrix {i}: resolve {warm} vs cold {cold}",
+                    g.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn answers_are_pure_functions_of_graph_and_matrix() {
+        let g = zoo::janet();
+        let dms = traffic(&g, 22, 4, 2);
+        let fresh: Vec<McfSolution> = dms
+            .iter()
+            .map(|dm| min_max_utilisation(&g, dm).unwrap())
+            .collect();
+        // One oracle walks the matrices backwards after unrelated
+        // solves; another answers them on other threads.
+        let oracle = CachedOracle::new(g.clone());
+        for dm in traffic(&g, 23, 3, 1) {
+            oracle.solve(&dm).unwrap();
+        }
+        for (dm, want) in dms.iter().zip(&fresh).rev() {
+            let got = oracle.solve(dm).unwrap();
+            assert_eq!(got.u_max.to_bits(), want.u_max.to_bits());
+            assert_eq!(got.flows, want.flows);
+        }
+        let shared = CachedOracle::new(g.clone());
+        std::thread::scope(|scope| {
+            for (dm, want) in dms.iter().zip(&fresh) {
+                let shared = &shared;
+                scope.spawn(move || {
+                    assert_eq!(shared.u_opt(dm).unwrap().to_bits(), want.u_max.to_bits());
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn sparse_kernel_keeps_u_and_flows_bit_identical() {
+        use crate::simplex::with_dense_pivots;
+        for g in [zoo::cesnet(), zoo::janet(), zoo::arpanet(), zoo::abilene()] {
+            for dm in traffic(&g, 24, 4, 2) {
+                let sparse = min_max_utilisation(&g, &dm).unwrap();
+                let dense = with_dense_pivots(|| min_max_utilisation(&g, &dm).unwrap());
+                assert_eq!(
+                    sparse.u_max.to_bits(),
+                    dense.u_max.to_bits(),
+                    "{}",
+                    g.name()
+                );
+                assert_eq!(sparse.flows, dense.flows, "{}", g.name());
+                let bland = SolveOptions {
+                    bland_from_start: true,
+                    max_pivots: None,
+                };
+                let cold_sparse = min_max_utilisation_with(&g, &dm, &bland).unwrap();
+                let cold_dense =
+                    with_dense_pivots(|| min_max_utilisation_with(&g, &dm, &bland).unwrap());
+                assert_eq!(cold_sparse.u_max.to_bits(), cold_dense.u_max.to_bits());
+                assert_eq!(cold_sparse.flows, cold_dense.flows);
+            }
+        }
+    }
+
+    #[test]
+    fn destinations_without_demand_carry_no_flow() {
+        let g = zoo::abilene();
+        let mut dm = DemandMatrix::zeros(g.num_nodes());
+        dm.set(0, 5, 40.0);
+        dm.set(3, 5, 25.0);
+        dm.set(7, 2, 10.0);
+        let sol = min_max_utilisation(&g, &dm).unwrap();
+        for (t, flows) in sol.flows.iter().enumerate() {
+            if t != 5 && t != 2 {
+                assert!(
+                    flows.iter().all(|&f| f == 0.0),
+                    "destination {t} carries flow"
+                );
+            }
+        }
+        assert_close(sol.u_max, cold(&g, &dm), 1e-12);
     }
 }

@@ -1,15 +1,25 @@
-//! Two-phase dense primal simplex.
+//! Two-phase dense primal simplex, plus a revised dual simplex that
+//! re-solves a program under a new right-hand side.
 //!
-//! Solves `min cᵀx  s.t.  Aᵢx {≤,=,≥} bᵢ, x ≥ 0` on a dense tableau.
-//! Pivoting uses Dantzig's rule (most negative reduced cost) and falls
-//! back to Bland's rule once the iteration count suggests cycling, which
-//! guarantees termination.
+//! [`solve`] handles `min cᵀx  s.t.  Aᵢx {≤,=,≥} bᵢ, x ≥ 0` on a dense
+//! tableau. Pivoting uses Dantzig's rule (most negative reduced cost)
+//! and falls back to Bland's rule once the iteration count suggests
+//! cycling, which guarantees termination. The pivot kernel is
+//! sparse-row: it touches only the pivot row's nonzero columns, and
+//! every nonzero entry comes out bit-identical to the textbook dense
+//! update.
+//!
+//! [`solve_with_basis`] also hands back the optimal [`Basis`]: the basic
+//! column per row, `B⁻¹` and the reduced costs. Since `A` and `c` fix
+//! dual feasibility, that basis stays dual-feasible for *any*
+//! right-hand side, and [`resolve`] restores primal feasibility with
+//! dual-simplex pivots on an explicit `B⁻¹` — usually a few dozen where
+//! a cold solve takes hundreds.
 //!
 //! This is deliberately a textbook implementation: the multicommodity
 //! LPs in this reproduction have at most a few thousand variables, where
-//! a dense tableau is simple, predictable, and fast enough — and its
-//! answers are easy to validate against invariants (see the `mcf`
-//! tests).
+//! a dense tableau is simple and predictable, and its answers are easy
+//! to validate against invariants (see the `mcf` tests).
 
 use std::fmt;
 
@@ -197,10 +207,75 @@ struct Tableau {
     /// Basis: which column is basic in each row.
     basis: Vec<usize>,
     cols: usize,
+    /// Scratch: the pivot row's nonzero columns, reused across pivots.
+    nonzeros: Vec<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Routes [`Tableau::pivot`] through the dense reference kernel, so
+    /// tests can compare whole solves against it.
+    static DENSE_PIVOTS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with every tableau pivot on this thread going through the
+/// dense reference kernel.
+#[cfg(test)]
+pub(crate) fn with_dense_pivots<R>(f: impl FnOnce() -> R) -> R {
+    DENSE_PIVOTS.with(|d| d.set(true));
+    let out = f();
+    DENSE_PIVOTS.with(|d| d.set(false));
+    out
 }
 
 impl Tableau {
+    /// Sparse-row pivot: scales the pivot row, collects its nonzero
+    /// columns once, and updates only those columns in rows whose
+    /// factor is nonzero. Each updated entry sees the same `a − p·f`
+    /// as the dense loop and skipped entries would only lose `±0`, so
+    /// every nonzero entry is bit-identical to the dense update. The
+    /// objective row stays dense.
     fn pivot(&mut self, row: usize, col: usize) {
+        #[cfg(test)]
+        if DENSE_PIVOTS.with(std::cell::Cell::get) {
+            return self.pivot_dense(row, col);
+        }
+        let pivot_val = self.a[row][col];
+        debug_assert!(pivot_val.abs() > EPS, "pivot on a ~zero element");
+        let inv = 1.0 / pivot_val;
+        let mut pivot_row = std::mem::take(&mut self.a[row]);
+        let mut nonzeros = std::mem::take(&mut self.nonzeros);
+        nonzeros.clear();
+        for (j, v) in pivot_row.iter_mut().enumerate() {
+            *v *= inv;
+            if *v != 0.0 {
+                nonzeros.push(j);
+            }
+        }
+        self.b[row] *= inv;
+        let b_row = self.b[row];
+        for (r, a_r) in self.a.iter_mut().enumerate() {
+            // The pivot row itself is taken out (empty) here.
+            if r == row {
+                continue;
+            }
+            let factor = a_r[col];
+            if factor != 0.0 {
+                for &j in &nonzeros {
+                    a_r[j] -= pivot_row[j] * factor;
+                }
+                self.b[r] -= b_row * factor;
+            }
+        }
+        self.a[row] = pivot_row;
+        self.nonzeros = nonzeros;
+        self.update_objective_row(row, col);
+    }
+
+    /// The textbook dense pivot, kept as the reference the sparse
+    /// kernel is tested against.
+    #[cfg(test)]
+    fn pivot_dense(&mut self, row: usize, col: usize) {
         let pivot_val = self.a[row][col];
         debug_assert!(pivot_val.abs() > EPS, "pivot on a ~zero element");
         let inv = 1.0 / pivot_val;
@@ -220,6 +295,12 @@ impl Tableau {
                 }
             }
         }
+        self.update_objective_row(row, col);
+    }
+
+    /// Prices the (already scaled) pivot row out of the objective row
+    /// and records the new basic column.
+    fn update_objective_row(&mut self, row: usize, col: usize) {
         let factor = self.c[col];
         if factor != 0.0 {
             for cidx in 0..self.cols {
@@ -318,6 +399,46 @@ pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
 /// As [`solve`], plus [`LpError::PivotLimit`] whenever an explicit
 /// `max_pivots` budget runs out.
 pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, LpError> {
+    solve_tableau(lp, opts).map(|(sol, _, _)| sol)
+}
+
+/// [`solve_with`], also handing back the optimal [`Basis`] so later
+/// right-hand sides can be [`resolve`]d from it.
+///
+/// # Errors
+///
+/// As [`solve_with`], plus [`LpError::InvalidInput`] when a redundant
+/// row kept an artificial column basic: such a tableau row was zeroed,
+/// so it carries no `B⁻¹` to re-solve from.
+pub fn solve_with_basis(
+    lp: &LinearProgram,
+    opts: &SolveOptions,
+) -> Result<(Solution, Basis), LpError> {
+    let (sol, t, layout) = solve_tableau(lp, opts)?;
+    let basis = Basis::from_tableau(lp, t, layout)?;
+    Ok((sol, basis))
+}
+
+/// Where the cold solver put each row's extra columns.
+#[derive(Debug, Clone)]
+struct Layout {
+    /// Per row: the `b ≥ 0` normalisation sign.
+    row_sign: Vec<f64>,
+    /// Per row: the column holding its `+1` unit coefficient (slack or
+    /// artificial).
+    row_unit: Vec<usize>,
+    /// Per row: the surplus column of a (normalised) `≥` row.
+    row_surplus: Vec<Option<usize>>,
+    /// First artificial column; every later column is artificial.
+    first_artificial: usize,
+}
+
+/// The two-phase cold solve, returning the final tableau and its column
+/// layout beside the solution.
+fn solve_tableau(
+    lp: &LinearProgram,
+    opts: &SolveOptions,
+) -> Result<(Solution, Tableau, Layout), LpError> {
     let _span = gddr_telemetry::span("lp.simplex.solve");
     if let Some(bad) = lp.objective.iter().find(|c| !c.is_finite()) {
         return Err(LpError::InvalidInput(format!(
@@ -346,8 +467,12 @@ pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, L
     // artificial) and the normalisation sign. The final reduced cost of
     // that column is `-λ_r`, giving the dual of the normalised row;
     // multiplying by the sign recovers the dual of the original row.
-    let mut row_unit = vec![usize::MAX; m];
-    let mut row_sign = vec![1.0; m];
+    let mut layout = Layout {
+        row_sign: vec![1.0; m],
+        row_unit: vec![usize::MAX; m],
+        row_surplus: vec![None; m],
+        first_artificial: n + num_slack,
+    };
 
     let mut slack_idx = n;
     let mut art_idx = n + num_slack;
@@ -355,7 +480,7 @@ pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, L
         // Normalise to b >= 0.
         let flip = *rhs < 0.0;
         let sign = if flip { -1.0 } else { 1.0 };
-        row_sign[r] = sign;
+        layout.row_sign[r] = sign;
         for &(v, coeff) in terms {
             a[r][v] += sign * coeff;
         }
@@ -373,22 +498,23 @@ pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, L
             Relation::Le => {
                 a[r][slack_idx] = 1.0;
                 basis[r] = slack_idx; // Slack starts basic.
-                row_unit[r] = slack_idx;
+                layout.row_unit[r] = slack_idx;
                 slack_idx += 1;
             }
             Relation::Ge => {
                 a[r][slack_idx] = -1.0; // Surplus.
+                layout.row_surplus[r] = Some(slack_idx);
                 slack_idx += 1;
                 a[r][art_idx] = 1.0;
                 basis[r] = art_idx;
-                row_unit[r] = art_idx;
+                layout.row_unit[r] = art_idx;
                 artificials.push(art_idx);
                 art_idx += 1;
             }
             Relation::Eq => {
                 a[r][art_idx] = 1.0;
                 basis[r] = art_idx;
-                row_unit[r] = art_idx;
+                layout.row_unit[r] = art_idx;
                 artificials.push(art_idx);
                 art_idx += 1;
             }
@@ -406,6 +532,7 @@ pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, L
         obj: 0.0,
         basis,
         cols: used_cols,
+        nonzeros: Vec::new(),
     };
 
     // Phase 1: minimise the sum of artificials.
@@ -495,19 +622,378 @@ pub fn solve_with(lp: &LinearProgram, opts: &SolveOptions) -> Result<Solution, L
     // c_final = c_orig − λᵀA over every column, and each row's unit
     // column has c_orig = 0 and A-column e_r, so c_final[unit_r] = −λ_r.
     // Undo the b ≥ 0 normalisation to get the original row's dual.
-    let duals: Vec<f64> = (0..m).map(|r| row_sign[r] * -t.c[row_unit[r]]).collect();
-    let pivots = phase1_pivots + phase2_pivots;
-    gddr_telemetry::counter_add("lp.simplex.solves", 1);
-    gddr_telemetry::counter_add("lp.simplex.pivots", pivots as u64);
-    gddr_telemetry::histogram_record("lp.simplex.pivots_per_solve", pivots as f64);
-    Ok(Solution {
+    let duals = layout.duals(&t.c);
+    let sol = Solution {
         objective,
         x,
         duals,
-        pivots,
+        pivots: phase1_pivots + phase2_pivots,
         phase1_pivots,
         phase2_pivots,
-    })
+    };
+    record_solve(sol.pivots);
+    Ok((sol, t, layout))
+}
+
+impl Layout {
+    /// Original-row duals from final reduced costs over every column.
+    fn duals(&self, reduced: &[f64]) -> Vec<f64> {
+        self.row_sign
+            .iter()
+            .zip(&self.row_unit)
+            .map(|(sign, &unit)| sign * -reduced[unit])
+            .collect()
+    }
+}
+
+/// The per-solve telemetry both solvers emit.
+fn record_solve(pivots: usize) {
+    gddr_telemetry::counter_add("lp.simplex.solves", 1);
+    gddr_telemetry::counter_add("lp.simplex.pivots", pivots as u64);
+    gddr_telemetry::histogram_record("lp.simplex.pivots_per_solve", pivots as f64);
+}
+
+/// The optimal basis of a cold solve: the basic column per row, `B⁻¹`
+/// and the reduced costs, plus the normalised constraint matrix by
+/// column. Everything [`resolve`] needs to re-solve the same `A` and `c`
+/// under a new right-hand side, and nothing that depends on the old one.
+#[derive(Clone)]
+pub struct Basis {
+    /// Objective over the original variables.
+    objective: Vec<f64>,
+    /// Normalised `A` over every internal column (originals, slacks and
+    /// surpluses, artificials) in compressed-column form: column `j`
+    /// holds `(col_row[k], col_val[k])` for `k` in
+    /// `col_start[j]..col_start[j + 1]`.
+    col_start: Vec<usize>,
+    col_row: Vec<usize>,
+    col_val: Vec<f64>,
+    /// Row normalisation and unit columns, frozen at the cold solve.
+    layout: Layout,
+    /// Basic column per row.
+    basic: Vec<usize>,
+    /// `B⁻¹` by row. Row vectors rather than one rows² block: every
+    /// allocation stays small, so re-solves that copy and drop `B⁻¹`
+    /// never push the allocator onto its large-block path, which would
+    /// leave each thread's heap holding the freed blocks.
+    b_inv: Vec<Vec<f64>>,
+    /// Dual steepest-edge weights: the squared norm of each `B⁻¹` row.
+    weights: Vec<f64>,
+    /// Reduced costs per internal column (non-negative on every column
+    /// that may enter: the basis is dual-feasible).
+    reduced: Vec<f64>,
+}
+
+/// A summary: the rows² inverse is too large to print usefully.
+impl fmt::Debug for Basis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Basis")
+            .field("rows", &self.basic.len())
+            .field("columns", &self.reduced.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Basis {
+    /// Reads the basis off a final phase-2 tableau. Column `r` of `B⁻¹`
+    /// is the tableau column of row `r`'s unit column (its original
+    /// column is `e_r`). The tableau is consumed row by row, so `B⁻¹`
+    /// never coexists with a full copy of it.
+    fn from_tableau(lp: &LinearProgram, t: Tableau, layout: Layout) -> Result<Basis, LpError> {
+        if t.basis.iter().any(|&j| j >= layout.first_artificial) {
+            return Err(LpError::InvalidInput(
+                "a redundant row keeps an artificial basic: no basis to re-solve from".into(),
+            ));
+        }
+        // Same coefficients as the tableau build, duplicates summed.
+        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); t.cols];
+        for (r, (terms, _, _)) in lp.constraints.iter().enumerate() {
+            let sign = layout.row_sign[r];
+            for &(v, coeff) in terms {
+                match columns[v].last_mut() {
+                    Some((row, value)) if *row == r => *value += sign * coeff,
+                    _ => columns[v].push((r, sign * coeff)),
+                }
+            }
+            if let Some(surplus) = layout.row_surplus[r] {
+                columns[surplus].push((r, -1.0));
+            }
+            columns[layout.row_unit[r]].push((r, 1.0));
+        }
+        let mut col_start = Vec::with_capacity(t.cols + 1);
+        col_start.push(0);
+        let (mut col_row, mut col_val) = (Vec::new(), Vec::new());
+        for column in columns {
+            for (r, v) in column {
+                col_row.push(r);
+                col_val.push(v);
+            }
+            col_start.push(col_row.len());
+        }
+        let b_inv: Vec<Vec<f64>> =
+            t.a.into_iter()
+                .map(|row| layout.row_unit.iter().map(|&unit| row[unit]).collect())
+                .collect();
+        let weights = b_inv
+            .iter()
+            .map(|row| row.iter().map(|v| v * v).sum::<f64>().max(EPS))
+            .collect();
+        Ok(Basis {
+            objective: lp.objective.clone(),
+            col_start,
+            col_row,
+            col_val,
+            layout,
+            basic: t.basis,
+            b_inv,
+            weights,
+            reduced: t.c,
+        })
+    }
+
+    /// Number of constraint rows: the right-hand-side length
+    /// [`resolve`] expects.
+    pub fn num_rows(&self) -> usize {
+        self.basic.len()
+    }
+
+    /// `ρ · A_j` for the dense row vector `rho`.
+    fn row_times_column(&self, rho: &[f64], j: usize) -> f64 {
+        let span = self.col_start[j]..self.col_start[j + 1];
+        self.col_row[span.clone()]
+            .iter()
+            .zip(&self.col_val[span])
+            .map(|(&r, &v)| rho[r] * v)
+            .sum()
+    }
+}
+
+/// `row -= factor · p`, returning the pre-update `row · p`. Four
+/// independent accumulators let the loop vectorise; their fixed
+/// combination order keeps the result deterministic.
+fn axpy_dot(row: &mut [f64], p: &[f64], factor: f64) -> f64 {
+    let mut acc = [0.0; 4];
+    let mut rows = row.chunks_exact_mut(4);
+    let ps = p.chunks_exact(4);
+    let p_tail = ps.remainder();
+    for (a, b) in (&mut rows).zip(ps) {
+        for l in 0..4 {
+            let old = a[l];
+            acc[l] += old * b[l];
+            a[l] = old - factor * b[l];
+        }
+    }
+    let mut dot = (acc[0] + acc[1]) + (acc[2] + acc[3]);
+    for (a, &b) in rows.into_remainder().iter_mut().zip(p_tail) {
+        dot += *a * b;
+        *a -= factor * b;
+    }
+    dot
+}
+
+/// Re-solves the program `basis` came from under the new right-hand
+/// side `rhs` (one entry per constraint, in `add_constraint` order),
+/// with a revised dual simplex on an explicit `B⁻¹`.
+///
+/// The start is dual-feasible because `A` and `c` are unchanged, so
+/// only primal feasibility needs restoring: `x_B = B⁻¹b`, then each
+/// pivot takes out the most negative basic value measured in dual
+/// steepest-edge terms, `x_r² / ‖e_rᵀB⁻¹‖²` (lowest row on ties), and
+/// brings in the column minimising `d_j / |α_j|` (lowest column on
+/// ties). The row norms are exact at the start and updated with each
+/// pivot; against the plain most-negative rule they cut the dual pivots
+/// on nsfnet-sized graphs about threefold. With
+/// [`SolveOptions::bland_from_start`], or after as many pivots as the
+/// cold solver tolerates before switching, the leaving row is the
+/// infeasible one with the lowest basic column instead — the dual Bland
+/// rule. [`SolveOptions::max_pivots`] caps the pivots with the same
+/// safety net as the cold solver.
+///
+/// The answer, duals included, is a pure function of `basis` and `rhs`,
+/// and it emits the cold solver's telemetry (an `lp.simplex.solve`
+/// span, `lp.simplex.solves` and `lp.simplex.pivots`).
+///
+/// # Errors
+///
+/// [`LpError::InvalidInput`] on a wrong-length or non-finite `rhs`;
+/// [`LpError::Infeasible`] when no column can restore a row;
+/// [`LpError::PivotLimit`] when the pivot budget runs out or a pivot
+/// element loses its accuracy — a cold [`solve_with`] is the remedy.
+pub fn resolve(basis: &Basis, rhs: &[f64], opts: &SolveOptions) -> Result<Solution, LpError> {
+    let _span = gddr_telemetry::span("lp.simplex.solve");
+    let m = basis.num_rows();
+    if rhs.len() != m {
+        return Err(LpError::InvalidInput(format!(
+            "{} right-hand sides for {m} constraints",
+            rhs.len()
+        )));
+    }
+    if let Some(bad) = rhs.iter().find(|v| !v.is_finite()) {
+        return Err(LpError::InvalidInput(format!("non-finite rhs {bad}")));
+    }
+    let cols = basis.reduced.len();
+    let art = basis.layout.first_artificial;
+    // Stay in the basis' normalised frame: a row flipped for the cold
+    // solve stays flipped, since the dual simplex needs no `b ≥ 0`.
+    let b: Vec<(usize, f64)> = rhs
+        .iter()
+        .zip(&basis.layout.row_sign)
+        .map(|(v, sign)| sign * v)
+        .enumerate()
+        .filter(|&(_, v)| v != 0.0)
+        .collect();
+    let feasibility_tol = EPS * (1.0 + b.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v.abs())));
+
+    let mut b_inv = basis.b_inv.clone();
+    let mut weights = basis.weights.clone();
+    let mut basic = basis.basic.clone();
+    let mut d = basis.reduced.clone();
+    let mut is_basic = vec![false; cols];
+    for &j in &basic {
+        is_basic[j] = true;
+    }
+    let mut x_b: Vec<f64> = b_inv
+        .iter()
+        .map(|row| b.iter().map(|&(k, v)| row[k] * v).sum())
+        .collect();
+
+    let max_iters = opts.max_pivots.unwrap_or(50 * (m + cols) + 10_000);
+    let bland_after = 5 * (m + cols) + 1_000;
+    let mut alpha_row = vec![0.0; cols];
+    let mut alpha_col = vec![0.0; m];
+    let mut pivot_row = vec![0.0; m];
+    let mut optimal = false;
+    let mut pivots = 0;
+    while pivots < max_iters {
+        // Leaving row: a basic variable below zero.
+        let use_bland = opts.bland_from_start || pivots > bland_after;
+        let mut leaving: Option<usize> = None;
+        let mut best_score = 0.0;
+        for (r, &v) in x_b.iter().enumerate() {
+            if v < -feasibility_tol {
+                let score = v * v / weights[r];
+                let better = match leaving {
+                    None => true,
+                    Some(l) if use_bland => basic[r] < basic[l],
+                    Some(_) => score > best_score,
+                };
+                if better {
+                    leaving = Some(r);
+                    best_score = score;
+                }
+            }
+        }
+        let Some(r) = leaving else {
+            optimal = true;
+            break;
+        };
+
+        // Pivot row α = (row r of B⁻¹)·A over the nonbasic columns, and
+        // the dual ratio test over those that may enter.
+        let rho = &b_inv[r];
+        let mut entering: Option<usize> = None;
+        let mut best_ratio = f64::INFINITY;
+        for j in 0..cols {
+            if is_basic[j] {
+                continue;
+            }
+            let a = basis.row_times_column(rho, j);
+            alpha_row[j] = a;
+            if j < art && a < -EPS {
+                let ratio = d[j].max(0.0) / -a;
+                if ratio < best_ratio {
+                    best_ratio = ratio;
+                    entering = Some(j);
+                }
+            }
+        }
+        let Some(q) = entering else {
+            return Err(LpError::Infeasible);
+        };
+
+        // Entering column α_q = B⁻¹ A_q; its row-r entry must agree with
+        // the pivot row's, or B⁻¹ has drifted too far to trust.
+        let span = basis.col_start[q]..basis.col_start[q + 1];
+        for (a, row) in alpha_col.iter_mut().zip(&b_inv) {
+            *a = basis.col_row[span.clone()]
+                .iter()
+                .zip(&basis.col_val[span.clone()])
+                .map(|(&k, &v)| row[k] * v)
+                .sum();
+        }
+        let pivot = alpha_col[r];
+        if (pivot - alpha_row[q]).abs() > 1e-7 * (1.0 + alpha_row[q].abs()) {
+            return Err(LpError::PivotLimit { pivots });
+        }
+
+        // Dual update: the entering column's reduced cost drops to zero
+        // and the leaving column's becomes −θ_d ≥ 0.
+        let theta_d = d[q] / alpha_row[q];
+        for j in 0..cols {
+            if !is_basic[j] && alpha_row[j] != 0.0 {
+                d[j] -= theta_d * alpha_row[j];
+            }
+        }
+        let leaving_col = basic[r];
+        d[q] = 0.0;
+        d[leaving_col] = -theta_d;
+
+        // Primal update.
+        let theta_p = x_b[r] / pivot;
+        for (i, (x, &a)) in x_b.iter_mut().zip(&alpha_col).enumerate() {
+            if i != r && a != 0.0 {
+                *x -= theta_p * a;
+            }
+        }
+        x_b[r] = theta_p;
+
+        // B⁻¹ update: row i becomes ρ_i − α_i·p for the scaled pivot row
+        // p, so its squared norm becomes w_i − 2α_i(ρ_i·p) + α_i²‖p‖²,
+        // the dot taken in the same pass. B⁻¹ of these bases is mostly
+        // dense, so the rows are swept whole; a nonzero-index walk like
+        // the cold kernel's measured no faster.
+        let inv = 1.0 / pivot;
+        for (v, p) in b_inv[r].iter_mut().zip(&mut pivot_row) {
+            *v *= inv;
+            *p = *v;
+        }
+        let p_norm: f64 = pivot_row.iter().map(|v| v * v).sum();
+        for (i, (row, w)) in b_inv.iter_mut().zip(&mut weights).enumerate() {
+            let factor = alpha_col[i];
+            if i == r || factor == 0.0 {
+                continue;
+            }
+            let dot = axpy_dot(row, &pivot_row, factor);
+            *w = (*w - 2.0 * factor * dot + factor * factor * p_norm).max(EPS);
+        }
+        weights[r] = p_norm.max(EPS);
+
+        is_basic[leaving_col] = false;
+        is_basic[q] = true;
+        basic[r] = q;
+        pivots += 1;
+    }
+    if !optimal {
+        return Err(LpError::PivotLimit { pivots });
+    }
+
+    let mut x = vec![0.0; basis.objective.len()];
+    for (&j, &v) in basic.iter().zip(&x_b) {
+        if j < x.len() {
+            x[j] = v;
+        }
+    }
+    let objective = basis.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+    let sol = Solution {
+        objective,
+        x,
+        duals: basis.layout.duals(&d),
+        pivots,
+        phase1_pivots: 0,
+        phase2_pivots: pivots,
+    };
+    record_solve(pivots);
+    Ok(sol)
 }
 
 #[cfg(test)]
@@ -939,5 +1425,326 @@ mod tests {
         // x+2y = 0.8+7.6 = 8.4 <10 → could raise y more: y <= x+3 and
         // x+2y<=10 → x + 2(x+3) <= 10 → x <= 4/3 → y = 13/3.
         assert_close(sol.objective, 4.0 / 3.0 - 2.0 * (13.0 / 3.0));
+    }
+
+    mod sparse_kernel {
+        use super::*;
+        use gddr_rng::rngs::StdRng;
+        use gddr_rng::{Rng, SeedableRng};
+
+        /// A seeded tableau with about half its entries zero.
+        fn random_tableau(rng: &mut StdRng) -> Tableau {
+            let rows = rng.gen_range(2..7usize);
+            let cols = rng.gen_range(rows + 1..rows + 9);
+            let entry = |rng: &mut StdRng| {
+                if rng.gen_range(0u8..2) == 0 {
+                    0.0
+                } else {
+                    rng.gen_range(-3.0..3.0)
+                }
+            };
+            let a = (0..rows)
+                .map(|_| (0..cols).map(|_| entry(&mut *rng)).collect())
+                .collect();
+            let c = (0..cols).map(|_| entry(&mut *rng)).collect();
+            Tableau {
+                a,
+                b: (0..rows).map(|_| rng.gen_range(0.0..5.0)).collect(),
+                c,
+                obj: 0.0,
+                basis: vec![usize::MAX; rows],
+                cols,
+                nonzeros: Vec::new(),
+            }
+        }
+
+        /// Every entry agrees between the kernels (`==`, so only the
+        /// sign of an exact zero may differ).
+        fn assert_same(sparse: &Tableau, dense: &Tableau, context: &str) {
+            assert_eq!(sparse.a, dense.a, "{context}: tableau body");
+            assert_eq!(sparse.b, dense.b, "{context}: rhs");
+            assert_eq!(sparse.c, dense.c, "{context}: objective row");
+            assert_eq!(sparse.obj.to_bits(), dense.obj.to_bits(), "{context}: obj");
+            assert_eq!(sparse.basis, dense.basis, "{context}: basis");
+        }
+
+        #[test]
+        fn sparse_pivot_matches_dense_reference_on_seeded_tableaus() {
+            for seed in 0..200u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut sparse = random_tableau(&mut rng);
+                let mut dense = Tableau {
+                    a: sparse.a.clone(),
+                    b: sparse.b.clone(),
+                    c: sparse.c.clone(),
+                    obj: sparse.obj,
+                    basis: sparse.basis.clone(),
+                    cols: sparse.cols,
+                    nonzeros: Vec::new(),
+                };
+                for step in 0..10 {
+                    let col = rng.gen_range(0..sparse.cols);
+                    let rows: Vec<usize> = (0..sparse.a.len())
+                        .filter(|&r| sparse.a[r][col].abs() > 0.1)
+                        .collect();
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let row = rows[rng.gen_range(0..rows.len())];
+                    sparse.pivot(row, col);
+                    dense.pivot_dense(row, col);
+                    assert_same(&sparse, &dense, &format!("seed {seed} step {step}"));
+                }
+            }
+        }
+
+        #[test]
+        fn sparse_solves_are_bit_identical_to_dense_solves() {
+            for seed in 0..64u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (obj, rows) = super::resolve_tests::seeded_rows(&mut rng);
+                let x0: Vec<f64> = (0..obj.len()).map(|_| rng.gen_range(0.0..5.0)).collect();
+                let lp = super::resolve_tests::program(&obj, &rows, &x0);
+                let sparse = solve(&lp);
+                let dense = with_dense_pivots(|| solve(&lp));
+                match (sparse, dense) {
+                    (Ok(s), Ok(d)) => {
+                        assert_eq!(s.objective.to_bits(), d.objective.to_bits(), "seed {seed}");
+                        assert_eq!(s.x, d.x, "seed {seed}");
+                        assert_eq!(s.duals, d.duals, "seed {seed}");
+                        assert_eq!(s.pivots, d.pivots, "seed {seed}");
+                    }
+                    (s, d) => assert_eq!(s.err(), d.err(), "seed {seed}"),
+                }
+            }
+        }
+    }
+
+    pub(crate) mod resolve_tests {
+        use super::*;
+        use gddr_rng::rngs::StdRng;
+        use gddr_rng::{Rng, SeedableRng};
+
+        /// One seeded row: dense coefficients, relation and the slack
+        /// margin its rhs leaves around a witness.
+        type Row = (Vec<(usize, f64)>, Relation, f64);
+
+        /// A seeded objective and constraint rows with about a third
+        /// equalities and an occasional duplicated row.
+        pub(crate) fn seeded_rows(rng: &mut StdRng) -> (Vec<f64>, Vec<Row>) {
+            let n = rng.gen_range(2..6usize);
+            let obj = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let mut rows = Vec::new();
+            for _ in 0..rng.gen_range(1..6usize) {
+                let coeffs: Vec<(usize, f64)> =
+                    (0..n).map(|i| (i, rng.gen_range(-3.0..3.0))).collect();
+                let rel = match rng.gen_range(0u8..3) {
+                    0 => Relation::Le,
+                    1 => Relation::Ge,
+                    _ => Relation::Eq,
+                };
+                let margin = rng.gen_range(0.0..2.0);
+                if rel != Relation::Eq && rng.gen_range(0u8..4) == 0 {
+                    rows.push((coeffs.clone(), rel, margin));
+                }
+                rows.push((coeffs, rel, margin));
+            }
+            (obj, rows)
+        }
+
+        /// The program whose rhs lets witness `x0` satisfy every row,
+        /// boxed by `x ≤ 10` so it is bounded.
+        pub(crate) fn program(obj: &[f64], rows: &[Row], x0: &[f64]) -> LinearProgram {
+            let mut lp = LinearProgram::new(obj.len());
+            lp.set_objective(obj);
+            for (coeffs, rel, margin) in rows {
+                let lhs: f64 = coeffs.iter().map(|&(i, c)| c * x0[i]).sum();
+                let rhs = match rel {
+                    Relation::Le => lhs + margin,
+                    Relation::Ge => lhs - margin,
+                    Relation::Eq => lhs,
+                };
+                lp.add_constraint(coeffs, *rel, rhs);
+            }
+            for i in 0..obj.len() {
+                lp.add_constraint(&[(i, 1.0)], Relation::Le, 10.0);
+            }
+            lp
+        }
+
+        fn rhs(lp: &LinearProgram) -> Vec<f64> {
+            lp.constraints().map(|(_, _, rhs)| rhs).collect()
+        }
+
+        /// Primal feasibility, dual signs, dual feasibility and strong
+        /// duality of `sol` for `lp`.
+        fn assert_certified(lp: &LinearProgram, sol: &Solution, context: &str) {
+            let tol = 1e-7;
+            assert!(sol.x.iter().all(|&v| v >= -tol), "{context}: x < 0");
+            let mut dual_obj = 0.0;
+            let mut at_y = vec![0.0; lp.num_vars()];
+            for (r, (terms, rel, rhs)) in lp.constraints().enumerate() {
+                let lhs: f64 = terms.iter().map(|&(v, c)| c * sol.x[v]).sum();
+                let y = sol.duals[r];
+                match rel {
+                    Relation::Le => assert!(lhs <= rhs + tol && y <= tol, "{context}: row {r}"),
+                    Relation::Ge => assert!(lhs >= rhs - tol && y >= -tol, "{context}: row {r}"),
+                    Relation::Eq => assert!((lhs - rhs).abs() <= tol, "{context}: row {r}"),
+                }
+                dual_obj += y * rhs;
+                for &(v, c) in terms {
+                    at_y[v] += c * y;
+                }
+            }
+            for (j, (c, ay)) in lp.objective().iter().zip(&at_y).enumerate() {
+                assert!(c - ay >= -1e-6, "{context}: reduced cost of x{j}");
+            }
+            assert!(
+                (dual_obj - sol.objective).abs() <= 1e-6 * (1.0 + sol.objective.abs()),
+                "{context}: duality gap {dual_obj} vs {}",
+                sol.objective
+            );
+        }
+
+        #[test]
+        fn resolve_matches_cold_solves_on_perturbed_rhs() {
+            let mut resolved = 0;
+            for seed in 0..128u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (obj, rows) = seeded_rows(&mut rng);
+                let x0: Vec<f64> = (0..obj.len()).map(|_| rng.gen_range(0.0..5.0)).collect();
+                let Ok((_, basis)) =
+                    solve_with_basis(&program(&obj, &rows, &x0), &SolveOptions::default())
+                else {
+                    continue; // A redundant row kept an artificial.
+                };
+                for round in 0..4 {
+                    let x1: Vec<f64> = (0..obj.len()).map(|_| rng.gen_range(0.0..5.0)).collect();
+                    let lp = program(&obj, &rows, &x1);
+                    let context = format!("seed {seed} round {round}");
+                    let cold = solve(&lp).expect("feasible by witness");
+                    let warm = resolve(&basis, &rhs(&lp), &SolveOptions::default())
+                        .unwrap_or_else(|e| panic!("{context}: {e}"));
+                    assert!(
+                        (warm.objective - cold.objective).abs()
+                            <= 1e-9 * (1.0 + cold.objective.abs()),
+                        "{context}: resolve {} vs cold {}",
+                        warm.objective,
+                        cold.objective
+                    );
+                    assert_certified(&lp, &warm, &context);
+                    resolved += 1;
+                }
+            }
+            assert!(resolved >= 400, "only {resolved} re-solves ran");
+        }
+
+        #[test]
+        fn resolve_is_a_pure_function_of_basis_and_rhs() {
+            let mut rng = StdRng::seed_from_u64(3);
+            let (obj, rows) = seeded_rows(&mut rng);
+            let lp = program(&obj, &rows, &[1.0; 5][..obj.len()]);
+            let (_, basis) = solve_with_basis(&lp, &SolveOptions::default()).unwrap();
+            let first = resolve(&basis, &rhs(&lp), &SolveOptions::default()).unwrap();
+            let other = program(&obj, &rows, &[3.0; 5][..obj.len()]);
+            resolve(&basis, &rhs(&other), &SolveOptions::default()).unwrap();
+            let again = resolve(&basis, &rhs(&lp), &SolveOptions::default()).unwrap();
+            assert_eq!(first.objective.to_bits(), again.objective.to_bits());
+            assert_eq!(first.x, again.x);
+            assert_eq!(first.duals, again.duals);
+        }
+
+        #[test]
+        fn resolve_from_the_same_rhs_needs_no_pivots() {
+            let mut lp = LinearProgram::new(2);
+            lp.set_objective(&[-3.0, -5.0]);
+            lp.add_constraint(&[(0, 1.0)], Relation::Le, 4.0);
+            lp.add_constraint(&[(1, 2.0)], Relation::Le, 12.0);
+            lp.add_constraint(&[(0, 3.0), (1, 2.0)], Relation::Le, 18.0);
+            let (cold, basis) = solve_with_basis(&lp, &SolveOptions::default()).unwrap();
+            let warm = resolve(&basis, &[4.0, 12.0, 18.0], &SolveOptions::default()).unwrap();
+            assert_eq!(warm.pivots, 0);
+            assert_close(warm.objective, cold.objective);
+            assert_eq!(warm.duals.len(), 3);
+            assert_close(warm.duals[1], -1.5);
+            // Tighter rhs: x ≤ 1 moves the optimum to (1, 6).
+            let tight = resolve(&basis, &[1.0, 12.0, 18.0], &SolveOptions::default()).unwrap();
+            assert!(tight.pivots > 0);
+            assert_close(tight.x[0], 1.0);
+            assert_close(tight.x[1], 6.0);
+            assert_close(tight.objective, -33.0);
+        }
+
+        #[test]
+        fn resolve_reports_typed_errors() {
+            let mut lp = LinearProgram::new(1);
+            lp.set_objective(&[1.0]);
+            lp.add_constraint(&[(0, 1.0)], Relation::Ge, 1.0);
+            lp.add_constraint(&[(0, 1.0)], Relation::Le, 4.0);
+            let (_, basis) = solve_with_basis(&lp, &SolveOptions::default()).unwrap();
+            assert_eq!(basis.num_rows(), 2);
+            let opts = SolveOptions::default();
+            assert!(matches!(
+                resolve(&basis, &[1.0], &opts),
+                Err(LpError::InvalidInput(_))
+            ));
+            assert!(matches!(
+                resolve(&basis, &[f64::NAN, 4.0], &opts),
+                Err(LpError::InvalidInput(_))
+            ));
+            // x ≥ 5 and x ≤ 4 cannot both hold.
+            assert_eq!(
+                resolve(&basis, &[5.0, 4.0], &opts).unwrap_err(),
+                LpError::Infeasible
+            );
+            // A zero budget fails like the cold solver's.
+            let zero = SolveOptions {
+                bland_from_start: false,
+                max_pivots: Some(0),
+            };
+            assert_eq!(
+                resolve(&basis, &[2.0, 4.0], &zero).unwrap_err(),
+                LpError::PivotLimit { pivots: 0 }
+            );
+        }
+
+        #[test]
+        fn redundant_rows_leave_no_basis_to_resolve_from() {
+            let mut lp = LinearProgram::new(2);
+            lp.set_objective(&[1.0, 1.0]);
+            lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Eq, 4.0);
+            lp.add_constraint(&[(0, 1.0), (1, 1.0)], Relation::Eq, 4.0);
+            assert!(solve(&lp).is_ok());
+            assert!(matches!(
+                solve_with_basis(&lp, &SolveOptions::default()),
+                Err(LpError::InvalidInput(_))
+            ));
+        }
+
+        #[test]
+        fn dual_bland_rule_agrees_with_steepest_edge() {
+            for seed in 0..32u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (obj, rows) = seeded_rows(&mut rng);
+                let x0: Vec<f64> = (0..obj.len()).map(|_| rng.gen_range(0.0..5.0)).collect();
+                let Ok((_, basis)) =
+                    solve_with_basis(&program(&obj, &rows, &x0), &SolveOptions::default())
+                else {
+                    continue;
+                };
+                let x1: Vec<f64> = (0..obj.len()).map(|_| rng.gen_range(0.0..5.0)).collect();
+                let lp = program(&obj, &rows, &x1);
+                let bland = SolveOptions {
+                    bland_from_start: true,
+                    max_pivots: None,
+                };
+                let a = resolve(&basis, &rhs(&lp), &SolveOptions::default()).unwrap();
+                let b = resolve(&basis, &rhs(&lp), &bland).unwrap();
+                assert!(
+                    (a.objective - b.objective).abs() <= 1e-9 * (1.0 + a.objective.abs()),
+                    "seed {seed}"
+                );
+            }
+        }
     }
 }

@@ -40,6 +40,11 @@ use crate::request::{EpochRequest, RouteResponse, Rung, ServeError};
 use crate::snapshot::{count_from_json, routing_from_json, routing_to_json};
 use crate::worker::{PoolConfig, WorkerPool};
 
+/// Entries the scoring oracle keeps. Live traffic rarely repeats a
+/// matrix, so without a bound the cache would gain one entry per scored
+/// response; FIFO eviction keeps a recent window instead.
+const ORACLE_CACHE_CAPACITY: usize = 1024;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
@@ -214,7 +219,7 @@ impl Controller {
         factory: EngineFactory,
         shard: u64,
     ) -> Self {
-        let oracle = CachedOracle::new(graph.clone());
+        let oracle = CachedOracle::with_capacity(graph.clone(), Some(ORACLE_CACHE_CAPACITY));
         let pool = WorkerPool::new(factory, &graph, config.pool.clone(), shard);
         let breaker = CircuitBreaker::new(config.breaker.clone());
         let ecmp = unit_ecmp_routing(&graph);
@@ -313,7 +318,7 @@ impl Controller {
         }
         self.ecmp = unit_ecmp_routing(&graph);
         self.shortest_path = unit_shortest_path_routing(&graph);
-        self.oracle = CachedOracle::new(graph.clone());
+        self.oracle = CachedOracle::with_capacity(graph.clone(), Some(ORACLE_CACHE_CAPACITY));
         self.breaker = CircuitBreaker::new(self.config.breaker.clone());
         self.pool.retool(&graph);
         self.last_good = None;
@@ -956,6 +961,27 @@ mod tests {
         }
         assert_eq!(c.stats().fresh, 5);
         assert_eq!(c.health(), HealthState::Healthy);
+    }
+
+    #[test]
+    fn scoring_oracle_cache_stays_bounded() {
+        // Every scored matrix is new, as under live traffic: the cache
+        // must evict rather than grow by one entry per response.
+        let mut c = controller(FaultPlan::new(), ControllerConfig::default());
+        for e in 0..ORACLE_CACHE_CAPACITY as u64 + 64 {
+            handle(&mut c, request(e, 300));
+        }
+        let stats = c.oracle().stats();
+        assert!(
+            stats.misses > ORACLE_CACHE_CAPACITY as u64,
+            "only {} scored solves",
+            stats.misses
+        );
+        assert!(
+            stats.entries <= ORACLE_CACHE_CAPACITY,
+            "{} cached entries over the cap of {ORACLE_CACHE_CAPACITY}",
+            stats.entries
+        );
     }
 
     #[test]

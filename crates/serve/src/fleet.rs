@@ -508,23 +508,36 @@ impl ShardRouter {
         let threads = self.config.threads.min(self.shards.len()).max(1);
 
         std::thread::scope(|scope| {
-            for t in 0..threads {
-                scope.spawn(move || {
-                    // Preferred partition first (thread-per-core
-                    // layout), then steal whatever is still unclaimed.
-                    for pass in 0..2 {
-                        for shard in 0..self.shards.len() {
-                            if pass == 0 && shard % threads != t {
-                                continue;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        // Preferred partition first (thread-per-core
+                        // layout), then steal whatever is still unclaimed.
+                        for pass in 0..2 {
+                            for shard in 0..self.shards.len() {
+                                if pass == 0 && shard % threads != t {
+                                    continue;
+                                }
+                                if claims[shard].swap(true, Ordering::SeqCst) {
+                                    continue;
+                                }
+                                let outcome = self.drain_shard(shard, &per_shard[shard]);
+                                *lock(&outcomes[shard]) = Some(outcome);
                             }
-                            if claims[shard].swap(true, Ordering::SeqCst) {
-                                continue;
-                            }
-                            let outcome = self.drain_shard(shard, &per_shard[shard]);
-                            *lock(&outcomes[shard]) = Some(outcome);
                         }
-                    }
-                });
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope's implicit wait ends when the
+            // closures return, before the threads have exited and
+            // handed their allocator arenas back, so back-to-back runs
+            // would race teardown and grow a new arena each time they
+            // lose. A thread's panic is re-raised here, as the scope
+            // would have.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
 

@@ -13,7 +13,7 @@ use gddr_rl::{Ppo, PpoConfig, TrainingLog};
 use gddr_rng::rngs::StdRng;
 use gddr_rng::SeedableRng;
 use gddr_ser::{FromJson, Json, ToJson};
-use gddr_telemetry::{parse_jsonl, Event, JsonlSink, MemorySink};
+use gddr_telemetry::{parse_jsonl, Event, JsonlSink, MemorySink, NoopSink};
 
 static TELEMETRY_GUARD: Mutex<()> = Mutex::new(());
 
@@ -145,5 +145,46 @@ fn disabled_telemetry_leaves_no_trace_in_registry() {
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
         assert!(snap.histograms.is_empty());
+    });
+}
+
+/// The oracle answers from its reference basis on every zoo graph: a
+/// silent fallback to the cold solve would stay correct but slow, so
+/// `lp.mcf.cold_fallbacks` must stay at zero on seeded diurnal and
+/// bimodal traffic.
+#[test]
+fn oracle_resolves_never_fall_back_to_cold_solves_on_zoo_traffic() {
+    use gddr_lp::CachedOracle;
+    use gddr_net::topology::zoo;
+    use gddr_traffic::gen::{bimodal, BimodalParams};
+    use gddr_traffic::scenario::{diurnal_flash_crowd, FlashCrowdParams};
+
+    with_telemetry(|| {
+        gddr_telemetry::install(Arc::new(NoopSink));
+        let mut solved = 0;
+        for (i, g) in zoo::all().into_iter().enumerate() {
+            let n = g.num_nodes();
+            let mut rng = StdRng::seed_from_u64(40 + i as u64);
+            let mut dms = diurnal_flash_crowd(
+                n,
+                3,
+                12,
+                0.3,
+                600.0 * (n * (n - 1)) as f64,
+                &FlashCrowdParams::default(),
+                &mut rng,
+            );
+            dms.extend((0..2).map(|_| bimodal(n, &BimodalParams::default(), &mut rng)));
+            let oracle = CachedOracle::new(g.clone());
+            for dm in &dms {
+                let u = oracle.u_opt(dm).expect("zoo demands have an optimum");
+                assert!(u.is_finite() && u > 0.0, "{}: U_opt {u}", g.name());
+                solved += 1;
+            }
+        }
+        gddr_telemetry::uninstall();
+        let snap = gddr_telemetry::registry().snapshot();
+        assert_eq!(snap.counter("lp.oracle.misses"), Some(solved));
+        assert_eq!(snap.counter("lp.mcf.cold_fallbacks").unwrap_or(0), 0);
     });
 }

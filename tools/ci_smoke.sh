@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One CI smoke leg, runnable locally too:
 #
-#   tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery>
+#   tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|lp>
 #
 # Every leg assumes the release build already exists (CI restores it
 # from the shared cache; locally run `cargo build --release --offline`
@@ -10,7 +10,7 @@
 
 set -euo pipefail
 
-LEG="${1:?usage: tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery>}"
+LEG="${1:?usage: tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|lp>}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 ART="$ROOT/ci_artifacts"
 mkdir -p "$ART"
@@ -137,6 +137,21 @@ case "$LEG" in
       --targets snapshot_decode --seeds 30 --size 12 \
       --out "$ART/snapshot_fuzz_report.json" \
       --replay-out "$ART/snapshot_fuzz_counterexample.json"
+    ;;
+  lp)
+    # LP oracle micro-benches — cold solve per topology, cache hit, and
+    # a 24-matrix diurnal day re-solved from one reference basis — gated
+    # against the committed results/BENCH_lp_*.json baselines. The bench
+    # writes into results/, so the baselines are set aside first (and
+    # put back even if the bench fails), the fresh artifacts move to
+    # $ART/lp, and the gate compares the two.
+    mkdir -p "$ART/lp" "$ART/lp_baselines"
+    cp results/BENCH_lp_*.json "$ART/lp_baselines/"
+    trap 'cp "$ART"/lp_baselines/BENCH_lp_*.json results/' EXIT
+    cargo bench --offline -p gddr-bench --bench bench_lp
+    mv results/BENCH_lp_*.json "$ART/lp/"
+    cp "$ART"/lp_baselines/BENCH_lp_*.json results/
+    bash tools/check_bench.sh "$ART/lp" "${BENCH_TOLERANCE_PCT:-50}"
     ;;
   *)
     echo "unknown smoke leg '$LEG'" >&2
