@@ -1,33 +1,41 @@
 //! Fleet load bench: a sharded multi-topology serving fleet under a
 //! sustained request stream, with batched GNN inference.
 //!
-//! Five phases, all checked (3-5 are the `fleet`-tagged scenarios of
-//! `gddr_serve::scenario`, run on this bench's fleet settings):
+//! Five phases, all checked, each a `fleet`-tagged scenario of
+//! `gddr_serve::scenario` served on this bench's fleet settings:
 //!
-//! 1. **load** — ≥100k requests across ≥10 zoo-topology shards,
-//!    reporting sustained req/s and p50/p99 drain latency per ladder
-//!    rung,
-//! 2. **identity** — the same (smaller) stream through a coalescing
-//!    fleet and a per-request fleet; every routing must match bit for
-//!    bit (batched GNN inference is exactly per-request inference),
-//! 3. **chaos** — one shard's workers die under a panic storm with
-//!    zero restart budget; only that shard may degrade, every other
-//!    shard must stay 100% Fresh,
-//! 4. **replicated** — a two-replica fleet with a dying primary: the
-//!    set must hedge the in-window batches, fail over to the standby,
-//!    shadow-probe the demoted primary back to eligibility, answer
-//!    every request, and replay bit-identically under the same seed,
-//! 5. **recovery_drill** — a snapshot-enabled fleet crashes mid-serve
-//!    and is rebuilt from its durable store: the restore must come
-//!    back warm (first post-restore responses on the restored
-//!    LastGood rung, restore wall time reported), and a corrupted
-//!    store must degrade to a clean cold start that still serves.
+//! 1. **load** — `fleet_load`: ≥100k keyed bimodal requests across 11
+//!    zoo-topology shards, every one Fresh, reporting sustained req/s
+//!    (requests over the wall time inside `ShardRouter::run`) and
+//!    p50/p99 drain latency per ladder rung,
+//! 2. **identity** — `fleet_load` at its minimum budget through a
+//!    per-request fleet (coalesce 1) and a coalescing fleet; every
+//!    shard's rung sequence and routing digest must match (batched GNN
+//!    inference is exactly per-request inference, bit for bit),
+//! 3. **chaos** — `fleet_blast_radius`: one shard's workers die under
+//!    a panic storm with zero restart budget; only that shard may
+//!    degrade, every other shard must stay 100% Fresh,
+//! 4. **replicated** — `fleet_failover`: a two-replica fleet with a
+//!    dying primary: the set must hedge the in-window batches, fail
+//!    over to the standby, shadow-probe the demoted primary back to
+//!    eligibility, answer every request, and replay bit-identically
+//!    under the same seed,
+//! 5. **recovery_drill** — `fleet_recovery_drill`: a snapshot-enabled
+//!    fleet crashes mid-serve and is rebuilt from its durable store:
+//!    the restore must come back warm (first post-restore responses on
+//!    the restored LastGood rung, restore wall time reported), and a
+//!    corrupted store must degrade to a clean cold start that still
+//!    serves.
 //!
 //! ```text
 //! serve_load [--requests N] [--seed N] [--clients N] [--coalesce N]
 //!            [--threads N] [--out PATH] [--telemetry PATH]
 //!            [--postmortem PATH]
 //! ```
+//!
+//! `--clients` sets the load phase's same-tick clients per shard. A
+//! fleet setting the fleet rejects (`--coalesce 0`, `--threads 0`) is
+//! reported and exits 2.
 //!
 //! A bounded [`FlightRecorder`] is always installed (the throughput
 //! number is measured with the recorder on — that is the production
@@ -42,66 +50,13 @@
 //! exits non-zero on any violation, printing a repro line.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use gddr_bench::{flag, parse_args, write_artifact};
-use gddr_core::{DdrEnvConfig, GnnPolicy, GnnPolicyConfig};
-use gddr_net::topology::zoo;
-use gddr_net::Graph;
-use gddr_rng::rngs::StdRng;
-use gddr_rng::SeedableRng;
 use gddr_ser::Json;
 use gddr_serve::{
-    scenario, ControllerConfig, EngineFactory, FleetConfig, FleetRequest, HealthState,
-    InferenceEngine, PolicyEngine, Rung, ScenarioSpec, ShardOutcome, ShardRouter, ShardSpec,
+    scenario, FleetConfig, HealthState, Rung, ScenarioOutcome, ScenarioSpec, ShardSpec,
 };
 use gddr_telemetry::{bucket_width, FlightRecorder, JsonlSink, LogHistogram, Sink, TeeSink};
-use gddr_traffic::gen::{bimodal, BimodalParams};
-
-/// Demand-history length every shard's policy serves with.
-const MEMORY: usize = 3;
-/// Per-request logical inference budget.
-const DEADLINE_MS: u64 = 10_000;
-
-/// The topology zoo, by name — 11 shards, one per topology.
-fn shard_names() -> &'static [&'static str] {
-    &[
-        "abilene", "nsfnet", "arpanet", "cesnet", "b4", "garr", "renater", "uninett", "geant",
-        "janet", "sprint",
-    ]
-}
-
-/// A small-but-real GNN engine factory for one shard. Each shard gets
-/// its own deterministic weights (`seed ^ shard`).
-fn gnn_factory(seed: u64) -> EngineFactory {
-    Arc::new(move |graph: &Graph| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let policy = GnnPolicy::new(
-            &GnnPolicyConfig {
-                memory: MEMORY,
-                latent: 8,
-                hidden: 16,
-                message_steps: 2,
-                layer_norm: true,
-            },
-            -0.5,
-            &mut rng,
-        );
-        Box::new(PolicyEngine::new(policy, graph, MEMORY)) as Box<dyn InferenceEngine>
-    })
-}
-
-fn controller_config() -> ControllerConfig {
-    ControllerConfig {
-        // Hold a whole admission chunk; overflow shedding is the
-        // chaos harness's job, not the throughput bench's.
-        queue_capacity: 64,
-        // The strict LP oracle cannot score 100k requests in CI time;
-        // scoring has its own benches.
-        score_responses: false,
-        ..ControllerConfig::default()
-    }
-}
 
 fn fleet_config(coalesce: usize, threads: usize) -> FleetConfig {
     FleetConfig {
@@ -109,56 +64,6 @@ fn fleet_config(coalesce: usize, threads: usize) -> FleetConfig {
         threads,
         admit_chunk: coalesce.max(8),
     }
-}
-
-/// Builds the full fleet.
-fn build_fleet(config: FleetConfig, seed: u64) -> ShardRouter {
-    let mut router = ShardRouter::new(config).expect("fleet config is valid");
-    for (i, name) in shard_names().iter().enumerate() {
-        let graph = zoo::by_name(name).expect("zoo topology exists");
-        router
-            .add_shard(
-                name,
-                graph,
-                DdrEnvConfig {
-                    memory: MEMORY,
-                    ..DdrEnvConfig::default()
-                },
-                controller_config(),
-                gnn_factory(seed ^ (i as u64).wrapping_mul(0x9e3779b97f4a7c15)),
-            )
-            .expect("unique shard name");
-    }
-    router
-}
-
-/// A deterministic request stream: `ticks` epochs, `clients`
-/// same-tick clients per shard per epoch (these coalesce into one
-/// batched forward pass per shard per tick).
-fn make_load(ticks: u64, clients: u64, seed: u64) -> Vec<FleetRequest> {
-    let graphs: Vec<(String, usize)> = shard_names()
-        .iter()
-        .map(|n| (n.to_string(), zoo::by_name(n).unwrap().num_nodes()))
-        .collect();
-    let mut out = Vec::new();
-    for tick in 0..ticks {
-        for client in 0..clients {
-            for (i, (name, n)) in graphs.iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    seed ^ (tick << 24 | client << 8 | i as u64).wrapping_mul(0x100000001b3),
-                );
-                out.push(FleetRequest {
-                    topology: name.clone(),
-                    request: gddr_serve::EpochRequest {
-                        epoch: tick,
-                        demands: bimodal(*n, &BimodalParams::default(), &mut rng),
-                        deadline_ms: DEADLINE_MS,
-                    },
-                });
-            }
-        }
-    }
-    out
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -169,21 +74,18 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// Per-rung response counts and latency percentiles over a fleet run.
-fn rung_report(outcomes: &[ShardOutcome]) -> Vec<Json> {
+/// Per-rung response counts and latency percentiles over a run.
+fn rung_report(outcome: &ScenarioOutcome) -> Vec<Json> {
     let rungs = [Rung::Fresh, Rung::LastGood, Rung::Ecmp, Rung::ShortestPath];
     rungs
         .iter()
         .map(|rung| {
-            let mut lat: Vec<u64> = outcomes
-                .iter()
-                .flat_map(|o| {
-                    o.responses
-                        .iter()
-                        .zip(&o.latencies_ns)
-                        .filter(|(r, _)| r.rung == *rung)
-                        .map(|(_, l)| *l)
-                })
+            let mut lat: Vec<u64> = outcome
+                .rung_sequence
+                .chars()
+                .zip(&outcome.latencies_ns)
+                .filter(|&(c, _)| c == rung.letter())
+                .map(|(_, &l)| l)
                 .collect();
             lat.sort_unstable();
             Json::obj([
@@ -223,7 +125,7 @@ fn main() {
     gddr_telemetry::install(Arc::new(TeeSink::new(sinks)));
     let requests: usize = flag(&args, "requests", 100_000);
     let seed: u64 = flag(&args, "seed", 42);
-    let clients: u64 = flag(&args, "clients", 8);
+    let clients: usize = flag(&args, "clients", 8);
     let coalesce: usize = flag(&args, "coalesce", 8);
     let threads: usize = flag(&args, "threads", 4);
     let out = args
@@ -231,50 +133,45 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "results/BENCH_serve_load.json".to_string());
 
-    let shards = shard_names().len();
-    let per_tick = clients as usize * shards;
-    let ticks = requests.div_ceil(per_tick) as u64;
+    // Every phase is a named scenario on this bench's fleet settings,
+    // served with the raw seed.
+    let bench_spec = |name: &str, coalesce: usize| {
+        let mut spec = scenario::spec(name).expect("fleet scenario exists");
+        spec.fleet = fleet_config(coalesce, threads);
+        spec
+    };
+    let serve = |spec: &ScenarioSpec, requests: usize| {
+        scenario::run(spec, seed, requests).unwrap_or_else(|e| {
+            eprintln!("serve_load: {}: {e}", spec.name);
+            std::process::exit(2);
+        })
+    };
     let mut violations: Vec<String> = Vec::new();
 
     // Phase 1: sustained load.
-    let load = make_load(ticks, clients, seed);
-    let total = load.len();
-    println!("serve_load: {total} requests, {shards} shards, {clients} clients/tick, coalesce {coalesce}, {threads} threads");
-    let fleet = build_fleet(fleet_config(coalesce, threads), seed);
-    let start = Instant::now();
-    let outcomes = fleet.run(&load).expect("all topologies are sharded");
-    let elapsed = start.elapsed();
-    let answered: usize = outcomes.iter().map(|o| o.responses.len()).sum();
-    let req_per_s = answered as f64 / elapsed.as_secs_f64();
-    if answered != total {
-        violations.push(format!("load: {total} submitted but {answered} answered"));
-    }
-    let fresh: usize = outcomes
-        .iter()
-        .flat_map(|o| &o.responses)
-        .filter(|r| r.rung == Rung::Fresh)
-        .count();
-    if fresh != total {
-        violations.push(format!(
-            "load: {} of {total} responses were not Fresh on the healthy path",
-            total - fresh
-        ));
-    }
+    let mut load_spec = bench_spec("fleet_load", coalesce);
+    load_spec.clients_per_tick = clients;
+    let shards = load_spec.shards.len();
+    println!("serve_load: {requests} requests, {shards} shards, {clients} clients/tick, coalesce {coalesce}, {threads} threads");
+    let load = serve(&load_spec, requests);
+    violations.extend(load.violations.iter().map(|v| format!("load: {v}")));
+    let (total, answered) = (load.submitted, load.answered);
+    let elapsed_s = load.serve_ns as f64 / 1e9;
+    let req_per_s = answered as f64 / elapsed_s;
+    let all_fresh = load
+        .rung_sequence
+        .chars()
+        .all(|c| c == Rung::Fresh.letter());
     println!(
-        "serve_load: answered {answered} in {:.2}s — {:.0} req/s, all {}",
-        elapsed.as_secs_f64(),
-        req_per_s,
-        if fresh == total { "Fresh" } else { "NOT fresh" }
+        "serve_load: answered {answered} of {total} in {elapsed_s:.2}s — {req_per_s:.0} req/s, all {}",
+        if all_fresh { "Fresh" } else { "NOT fresh" }
     );
 
     // Streaming-HDR self-check: the log-bucketed histogram the SLO
     // engine keeps must agree with the exact sorted percentiles of the
     // same per-response latencies, within one bucket width (the HDR
     // quantile is a bucket upper bound, so it may only sit above).
-    let mut exact: Vec<u64> = outcomes
-        .iter()
-        .flat_map(|o| o.latencies_ns.iter().copied())
-        .collect();
+    let mut exact = load.latencies_ns.clone();
     let mut hdr = LogHistogram::new();
     for &ns in &exact {
         hdr.record(ns);
@@ -295,32 +192,20 @@ fn main() {
     );
 
     // Phase 2: batched == per-request, bit for bit.
-    let identity_load = make_load(3, 4, seed ^ 0x1de57);
-    let reference = build_fleet(fleet_config(1, threads), seed)
-        .run(&identity_load)
-        .expect("identity reference run");
-    let batched = build_fleet(fleet_config(coalesce.max(2), threads), seed)
-        .run(&identity_load)
-        .expect("identity batched run");
+    let identity = |coalesce: usize| serve(&bench_spec("fleet_load", coalesce), 0);
+    let (reference, batched) = (identity(1), identity(coalesce.max(2)));
+    for run in [&reference, &batched] {
+        violations.extend(run.violations.iter().map(|v| format!("identity: {v}")));
+    }
     let mut identity_checked = 0usize;
-    for (a, b) in reference.iter().zip(&batched) {
-        if a.rung_sequence() != b.rung_sequence() {
+    for (a, b) in reference.shards.iter().zip(&batched.shards) {
+        if a.rung_sequence != b.rung_sequence || a.routing_digest != b.routing_digest {
             violations.push(format!(
-                "identity: shard {} rung sequence diverged ({} vs {})",
-                a.name,
-                a.rung_sequence(),
-                b.rung_sequence()
+                "identity: shard {} diverged between batched and per-request inference (rungs {} vs {}, routing digest {:016x} vs {:016x})",
+                a.name, a.rung_sequence, b.rung_sequence, a.routing_digest, b.routing_digest
             ));
-            continue;
-        }
-        for (x, y) in a.responses.iter().zip(&b.responses) {
-            identity_checked += 1;
-            if x.routing != y.routing {
-                violations.push(format!(
-                    "identity: shard {} epoch {} routing diverged between batched and per-request inference",
-                    a.name, x.epoch
-                ));
-            }
+        } else {
+            identity_checked += a.rung_sequence.len();
         }
     }
     let identity_ok = violations.iter().all(|v| !v.starts_with("identity"));
@@ -338,9 +223,8 @@ fn main() {
     // — the default hook's backtraces would drown the report.
     std::panic::set_hook(Box::new(|_| {}));
     let drill = |name: &str| {
-        let mut spec = scenario::spec(name).expect("fleet drill exists");
-        spec.fleet = fleet_config(coalesce, threads);
-        let outcome = scenario::run(&spec, seed, 0).expect("fleet drill runs");
+        let spec = bench_spec(name, coalesce);
+        let outcome = serve(&spec, 0);
         (spec, outcome)
     };
     let (blast_spec, blast) = drill("fleet_blast_radius");
@@ -495,10 +379,10 @@ fn main() {
             Json::obj([
                 ("req_per_s", Json::Num(req_per_s)),
                 ("answered", Json::Num(answered as f64)),
-                ("elapsed_ms", Json::Num(elapsed.as_millis() as f64)),
+                ("elapsed_ms", Json::Num((load.serve_ns / 1_000_000) as f64)),
             ]),
         ),
-        ("rungs", Json::Arr(rung_report(&outcomes))),
+        ("rungs", Json::Arr(rung_report(&load))),
         (
             "hdr",
             Json::obj([

@@ -242,7 +242,8 @@ pub fn try_routing_ratio(
     } else {
         report.u_max / opt.u_opt
     };
-    gddr_telemetry::histogram_record("env.reward_ratio", ratio);
+    // Registry histograms hold integers: the ratio in parts per million.
+    gddr_telemetry::histogram_record("env.reward_ratio_ppm", (ratio * 1e6).round() as u64);
     Ok(RatioOutcome {
         ratio,
         degraded: opt.degraded,

@@ -650,7 +650,7 @@ impl Layout {
 fn record_solve(pivots: usize) {
     gddr_telemetry::counter_add("lp.simplex.solves", 1);
     gddr_telemetry::counter_add("lp.simplex.pivots", pivots as u64);
-    gddr_telemetry::histogram_record("lp.simplex.pivots_per_solve", pivots as f64);
+    gddr_telemetry::histogram_record("lp.simplex.pivots_per_solve", pivots as u64);
 }
 
 /// The optimal basis of a cold solve: the basic column per row, `B⁻¹`

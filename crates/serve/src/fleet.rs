@@ -149,11 +149,6 @@ pub struct ShardOutcome {
     /// Responses in serving order (shed responses precede the
     /// processed responses of the cycle that evicted them).
     pub responses: Vec<RouteResponse>,
-    /// Wall-clock nanoseconds from admission to response, one entry
-    /// per response in the same order (mirrors each response's
-    /// `latency_ns`). Bench-only — not part of the deterministic
-    /// digest.
-    pub latencies_ns: Vec<u64>,
 }
 
 impl ShardOutcome {
@@ -415,11 +410,6 @@ impl ShardRouter {
         self.shards.len()
     }
 
-    /// Shard name by id.
-    pub fn shard_name(&self, shard: usize) -> &str {
-        &self.shards[shard].name
-    }
-
     /// The shard id serving `topology`.
     ///
     /// # Errors
@@ -433,8 +423,8 @@ impl ShardRouter {
     }
 
     /// Runs `f` against a shard's **current primary** controller
-    /// (inspection and fault injection between runs; the chaos path of
-    /// the `serve_load` bench uses this to poke a dying shard).
+    /// (inspection and fault injection between runs; the scenario
+    /// runner injects oracle pivot faults through it).
     ///
     /// # Errors
     ///
@@ -479,7 +469,7 @@ impl ShardRouter {
     /// Per-shard response sequences are deterministic: requests are
     /// partitioned in input order, each shard is drained end to end by
     /// exactly one thread, and all serving decisions run on logical
-    /// time. Only the `latencies_ns` fields are wall-clock.
+    /// time. Only each response's `latency_ns` is wall-clock.
     ///
     /// # Errors
     ///
@@ -564,7 +554,6 @@ impl ShardRouter {
     fn drain_shard(&self, shard: usize, requests: &[(EpochRequest, TraceCtx)]) -> ShardOutcome {
         let mut set = lock(&self.shards[shard].set);
         let mut responses = Vec::with_capacity(requests.len());
-        let mut latencies_ns = Vec::with_capacity(requests.len());
         for chunk in requests.chunks(self.config.admit_chunk) {
             let mut cycle = Vec::new();
             for (req, ctx) in chunk {
@@ -577,13 +566,11 @@ impl ShardRouter {
                 }
                 cycle.extend(served);
             }
-            latencies_ns.extend(cycle.iter().map(|r| r.latency_ns));
             responses.append(&mut cycle);
         }
         ShardOutcome {
             name: self.shards[shard].name.clone(),
             responses,
-            latencies_ns,
         }
     }
 }
@@ -682,7 +669,6 @@ mod tests {
         let router = build_fleet(FleetConfig::default());
         assert_eq!(router.shard_count(), 3);
         assert_eq!(router.route("abilene").unwrap(), 1);
-        assert_eq!(router.shard_name(1), "abilene");
         assert!(matches!(
             router.route("atlantis"),
             Err(ServeError::UnknownTopology(_))

@@ -202,7 +202,8 @@ impl ReplicaSet {
     /// # Errors
     ///
     /// Returns [`ServeError::Config`] when `factories` is empty, or
-    /// `config` has a zero queue capacity or zero pool workers.
+    /// `config` has a zero queue capacity, zero pool workers or a zero
+    /// SLO window.
     pub fn new(
         shard: u64,
         graph: Graph,
@@ -225,6 +226,11 @@ impl ReplicaSet {
         if config.pool.workers == 0 {
             return Err(ServeError::Config(
                 "worker pool needs at least one worker".to_string(),
+            ));
+        }
+        if config.slo.window == 0 {
+            return Err(ServeError::Config(
+                "SLO window needs at least one response".to_string(),
             ));
         }
         let queue = AdmissionQueue::new(config.queue_capacity);
@@ -982,6 +988,24 @@ mod tests {
         )
         .err()
         .expect("empty factory list must be rejected");
+        assert!(matches!(err, ServeError::Config(_)));
+    }
+
+    #[test]
+    fn zero_slo_window_is_a_typed_config_error() {
+        let mut config = ControllerConfig::default();
+        config.slo.window = 0;
+        let err = ReplicaSet::new(
+            0,
+            zoo::cesnet(),
+            env_cfg(),
+            config,
+            vec![factory(Arc::new(FaultPlan::new()), 7)],
+            FailoverConfig::default(),
+            HedgeConfig::default(),
+        )
+        .err()
+        .expect("a zero SLO window must be rejected, not panic on the first response");
         assert!(matches!(err, ServeError::Config(_)));
     }
 

@@ -43,6 +43,7 @@ use gddr_net::topology::zoo;
 use gddr_net::Graph;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
+use gddr_routing::Routing;
 use gddr_store::Store;
 use gddr_traffic::gen::{bimodal, BimodalParams};
 use gddr_traffic::scenario::{
@@ -980,6 +981,9 @@ fn fleet(
                 .collect(),
         })
         .collect();
+    // The queue holds a whole admission chunk, so nothing sheds on the
+    // healthy path, and scoring stays off: the strict LP oracle cannot
+    // score `fleet_load`'s 100k-request bench budget in CI time.
     spec.controller = ControllerConfig {
         queue_capacity: 64,
         score_responses: false,
@@ -1320,9 +1324,9 @@ pub fn specs() -> Vec<ScenarioSpec> {
     s.expect_fail = true;
     out.push(s);
 
-    // GNN fleet drills. Blast radius: one of 11 zoo shards panics on
-    // every epoch with no restart budget; every other shard stays
-    // Fresh.
+    // GNN fleet drills over the 11 zoo shards. Load: no faults, eight
+    // same-tick clients per shard coalescing into one batched forward
+    // pass, every shard 100% Fresh.
     let zoo_names = [
         "abilene", "nsfnet", "arpanet", "cesnet", "b4", "garr", "renater", "uninett", "geant",
         "janet", "sprint",
@@ -1330,6 +1334,15 @@ pub fn specs() -> Vec<ScenarioSpec> {
     let shards: Vec<_> = (0..zoo_names.len() as u64)
         .map(|i| (zoo_names[i as usize], spread(i), &[0][..]))
         .collect();
+    let mut s = fleet("fleet_load", &shards, 0);
+    s.clients_per_tick = 8;
+    s.ticks_per_run = usize::MAX;
+    s.gates.max_p99_depth = 0;
+    s.gates.bystanders_fresh = true;
+    s.min_requests = 2 * 8 * 11;
+    out.push(s);
+    // Blast radius: one shard panics on every epoch with no restart
+    // budget; every other shard stays Fresh.
     let mut s = fleet("fleet_blast_radius", &shards, 0xc4a05);
     s.shards[8].pool = Some(PoolConfig {
         workers: 1,
@@ -1454,6 +1467,9 @@ pub struct ShardReport {
     pub alive_workers: usize,
     /// Whether the final primary's breaker is closed.
     pub breaker_closed: bool,
+    /// FNV-1a over the bits of every routing this shard served, in
+    /// serving order. Not part of the golden digests.
+    pub routing_digest: u64,
 }
 
 /// How one restart came back.
@@ -1517,6 +1533,15 @@ pub struct ScenarioOutcome {
     pub restarts: Vec<RestartReport>,
     /// SLO violations (empty = pass).
     pub violations: Vec<String>,
+    /// Each response's admission-to-answer wall time
+    /// ([`crate::RouteResponse::latency_ns`]), in
+    /// [`ScenarioOutcome::rung_sequence`] order. Not part of any
+    /// digest.
+    pub latencies_ns: Vec<u64>,
+    /// Wall time spent inside [`ShardRouter::run`], summed over runs:
+    /// request generation and routing validation stay outside it. Not
+    /// part of any digest.
+    pub serve_ns: u64,
 }
 
 impl ScenarioOutcome {
@@ -1524,6 +1549,25 @@ impl ScenarioOutcome {
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
+}
+
+/// Folds `routing` into the running FNV-1a digest `hash`, one 64-bit
+/// word per step: every flow's `(source, destination)` key (source
+/// `usize::MAX` for a destination-shared entry) and ratio bits, in key
+/// order. Routings that compare equal digest equally whatever their
+/// hash-map order.
+fn routing_digest(hash: u64, routing: &Routing) -> u64 {
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(0x100000001b3);
+    let mut flows: Vec<((usize, usize), &[f64])> = routing
+        .dest_flows()
+        .map(|(t, ratios)| ((usize::MAX, t), ratios))
+        .chain(routing.pair_flows())
+        .collect();
+    flows.sort_unstable_by_key(|&(key, _)| key);
+    flows.iter().fold(hash, |h, &((s, t), ratios)| {
+        let h = fold(fold(h, s as u64), t as u64);
+        ratios.iter().fold(h, |h, r| fold(h, r.to_bits()))
+    })
 }
 
 pub(crate) fn p99_depth(depths: &[u8]) -> u8 {
@@ -1583,7 +1627,10 @@ struct Run<'a> {
     active: Vec<Graph>,
     /// Per response: (epoch, rung).
     served: Vec<(u64, Rung)>,
+    latencies_ns: Vec<u64>,
+    serve_ns: u64,
     shard_rungs: Vec<String>,
+    routing_digests: Vec<u64>,
     invalid: usize,
     events: Vec<String>,
     restarts: Vec<RestartReport>,
@@ -1674,10 +1721,13 @@ impl<'a> Run<'a> {
             seed,
             active: graphs.clone(),
             shard_rungs: vec![String::new(); graphs.len()],
+            routing_digests: vec![0xcbf29ce484222325; graphs.len()],
             graphs,
             names,
             store,
             served: Vec::new(),
+            latencies_ns: Vec::new(),
+            serve_ns: 0,
             invalid: 0,
             events: timeline
                 .iter()
@@ -1764,11 +1814,17 @@ impl<'a> Run<'a> {
             if (tick + 1) % spec.ticks_per_run != 0 && tick + 1 < ticks {
                 continue;
             }
+            let requests = std::mem::take(&mut batch);
+            let start = Instant::now();
+            let outcomes = fleet.run(&requests)?;
+            run.serve_ns += start.elapsed().as_nanos() as u64;
             let mut tick_rungs = Vec::with_capacity(run.graphs.len());
-            for (s, outcome) in fleet.run(&std::mem::take(&mut batch))?.iter().enumerate() {
+            for (s, outcome) in outcomes.iter().enumerate() {
                 for resp in &outcome.responses {
                     run.invalid += usize::from(!resp.routing.validate(&run.active[s]).is_empty());
                     run.served.push((resp.epoch, resp.rung));
+                    run.latencies_ns.push(resp.latency_ns);
+                    run.routing_digests[s] = routing_digest(run.routing_digests[s], &resp.routing);
                 }
                 let rungs = outcome.rung_sequence();
                 run.shard_rungs[s].push_str(&rungs);
@@ -1923,6 +1979,7 @@ impl<'a> Run<'a> {
                     health: set.health(),
                     alive_workers,
                     breaker_closed,
+                    routing_digest: self.routing_digests[s],
                 }
             })?;
             shards.push(report);
@@ -1952,6 +2009,8 @@ impl<'a> Run<'a> {
             shards,
             restarts: self.restarts,
             violations: Vec::new(),
+            latencies_ns: self.latencies_ns,
+            serve_ns: self.serve_ns,
         };
         outcome.violations = evaluate(self.spec, &outcome, &self.served, self.invalid);
         Ok(outcome)
@@ -2441,8 +2500,11 @@ mod tests {
         for mut spec in specs().into_iter().filter(|s| s.shards.len() > 1) {
             let digests = |spec: &ScenarioSpec| {
                 let o = run(spec, scenario_seed(42, spec.name), 0).unwrap();
-                let shards: Vec<String> =
-                    o.shards.iter().map(|s| s.rung_sequence.clone()).collect();
+                let shards: Vec<(String, u64)> = o
+                    .shards
+                    .iter()
+                    .map(|s| (s.rung_sequence.clone(), s.routing_digest))
+                    .collect();
                 (
                     o.rung_sequence,
                     o.failover_sequence,

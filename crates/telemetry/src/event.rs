@@ -777,8 +777,8 @@ mod tests {
                 value: -1.25,
             },
             Event::Histogram {
-                name: "env.reward_ratio".into(),
-                value: 1.5,
+                name: "env.reward_ratio_ppm".into(),
+                value: 1_500_000.0,
             },
             Event::Message {
                 name: "fig7".into(),

@@ -1,12 +1,15 @@
-//! Log-bucketed (HDR-style) latency histograms.
+//! Log-bucketed (HDR-style) histograms: the crate's one histogram
+//! type, behind every serving latency quantile and every
+//! [`crate::Registry`] histogram.
 //!
-//! Fixed-bucket histograms (the registry's `DEFAULT_BUCKETS`) cannot
-//! produce a trustworthy tail quantile: everything past the last edge
-//! collapses into one bucket. [`LogHistogram`] instead covers the full
-//! `u64` range with logarithmic octaves split into 32 sub-buckets
-//! each, bounding relative error at one part in 32 (~3.1%) at any
-//! magnitude — nanoseconds to hours — in a flat 1920-slot array with
-//! O(1) recording and no allocation after construction.
+//! A fixed-bucket histogram cannot produce a trustworthy tail
+//! quantile: everything past its last edge collapses into one bucket.
+//! [`LogHistogram`] instead covers the full `u64` range with
+//! logarithmic octaves split into 32 sub-buckets each, bounding
+//! relative error at one part in 32 (~3.1%) at any magnitude —
+//! nanoseconds to hours, single pivots to millions — in a flat
+//! 1920-slot array with O(1) recording and no allocation after
+//! construction.
 //!
 //! [`HdrSnapshot`] is the mergeable, JSON-serialisable view: sparse
 //! `[index, count]` pairs, so per-shard snapshots stay small and merge

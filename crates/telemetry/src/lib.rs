@@ -3,7 +3,7 @@
 //! Zero-dependency (std + `gddr-ser`) telemetry for the GDDR
 //! reproduction: scoped **spans** with wall-clock timing and
 //! hierarchical parent tracking, a **metrics registry** of counters /
-//! gauges / fixed-bucket histograms, and a pluggable **sink** layer
+//! gauges / log-bucketed histograms, and a pluggable **sink** layer
 //! that streams every observation as an [`Event`] — to memory for
 //! tests, or to a JSONL file whose lines serialise via `gddr-ser` and
 //! parse back losslessly.
@@ -21,7 +21,8 @@
 //!   off; per-solve statistics that must always be available (oracle
 //!   cache hits, pivot counts) live in their owning structs instead.
 //! - **Enabled** ([`install`]): updates aggregate into the global
-//!   [`Registry`] (read-locked name lookup + lock-free atomics) and
+//!   [`Registry`] (read-locked name lookup, then a lock-free atomic or
+//!   one histogram cell's mutex) and
 //!   stream to the installed [`Sink`]. Instrumentation sits at
 //!   call/phase granularity (one span per env step, per LP solve, per
 //!   PPO phase), never inside inner numeric loops.
@@ -60,7 +61,7 @@ pub mod trace;
 
 pub use event::{parse_jsonl, Event};
 pub use hdr::{bucket_width, HdrSnapshot, LogHistogram};
-pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{MetricsSnapshot, Registry};
 pub use progress::Reporter;
 pub use ring::{FlightRecorder, FlightRecorderConfig};
 pub use sink::{JsonlSink, MemorySink, NoopSink, Sink, TeeSink};
@@ -204,14 +205,14 @@ pub fn gauge_set(name: &str, value: f64) {
 /// Records one histogram observation and streams it. No-op when
 /// telemetry is disabled.
 #[inline]
-pub fn histogram_record(name: &str, value: f64) {
+pub fn histogram_record(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
     registry().histogram_record(name, value);
     dispatch(&Event::Histogram {
         name: name.to_string(),
-        value,
+        value: value as f64,
     });
 }
 
@@ -562,7 +563,7 @@ mod tests {
             let _span = span("inert");
             counter_add("inert.counter", 1);
             gauge_set("inert.gauge", 1.0);
-            histogram_record("inert.hist", 1.0);
+            histogram_record("inert.hist", 1);
             drop(_span);
             assert_eq!(registry().snapshot().counter("inert.counter"), None);
         });
@@ -638,7 +639,7 @@ mod tests {
             counter_add("m.count", 2);
             counter_add("m.count", 3);
             gauge_set("m.gauge", 7.5);
-            histogram_record("m.hist", 4.0);
+            histogram_record("m.hist", 4);
             let snap = registry().snapshot();
             assert_eq!(snap.counter("m.count"), Some(5));
             assert_eq!(snap.gauge("m.gauge"), Some(7.5));

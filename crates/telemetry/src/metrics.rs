@@ -1,69 +1,22 @@
-//! The metrics registry: named counters, gauges and fixed-bucket
-//! histograms, aggregated in-process with atomics.
+//! The metrics registry: named counters, gauges and log-bucketed
+//! histograms, aggregated in-process.
 //!
 //! The registry is the *aggregated* view of telemetry (totals since
 //! enablement); the event stream ([`crate::sink`]) is the *incremental*
 //! view. Both are fed by the same instrumentation calls in
-//! [`crate`]. A [`MetricsSnapshot`] freezes the registry into a
-//! serialisable value for artifacts and tests.
+//! [`crate`]. Counters and gauges are atomics; every histogram is a
+//! [`LogHistogram`], the one histogram type the crate keeps, so
+//! registry quantiles carry the same bounded relative error as the
+//! serving latency quantiles. A [`MetricsSnapshot`] freezes the
+//! registry into a serialisable value for artifacts and tests.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use gddr_ser::{FromJson, Json, JsonError, ToJson};
 
-/// Default histogram bucket upper bounds: a 1–2–5 decade ladder wide
-/// enough for both iteration counts and nanosecond durations.
-pub const DEFAULT_BUCKETS: [f64; 30] = [
-    1e0, 2e0, 5e0, 1e1, 2e1, 5e1, 1e2, 2e2, 5e2, 1e3, 2e3, 5e3, 1e4, 2e4, 5e4, 1e5, 2e5, 5e5, 1e6,
-    2e6, 5e6, 1e7, 2e7, 5e7, 1e8, 2e8, 5e8, 1e9, 2e9, 5e9,
-];
-
-/// Adds `v` to an `f64` stored as bits in an [`AtomicU64`].
-fn atomic_f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// A fixed-bucket histogram cell.
-#[derive(Debug)]
-struct HistogramCell {
-    /// Bucket upper bounds (sorted ascending); counts has one extra
-    /// overflow bucket.
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-impl HistogramCell {
-    fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        HistogramCell {
-            bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, value: f64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_add(&self.sum_bits, value);
-    }
-}
+use crate::hdr::{HdrSnapshot, LogHistogram};
 
 /// A named metric cell.
 #[derive(Debug)]
@@ -71,14 +24,16 @@ enum Metric {
     Counter(AtomicU64),
     /// Gauge value stored as `f64` bits.
     Gauge(AtomicU64),
-    Histogram(HistogramCell),
+    Histogram(Mutex<LogHistogram>),
 }
 
 /// The registry of named metrics.
 ///
-/// Cells are created on first use and never removed; updates after the
-/// (read-locked) name lookup are lock-free atomics, so concurrent
-/// training threads never serialise on a metric update.
+/// Cells are created on first use and never removed. After the
+/// (read-locked) name lookup, counter and gauge updates are lock-free
+/// atomics and a histogram record holds its own cell's mutex for one
+/// bucket increment, so concurrent threads only serialise on the same
+/// histogram.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: RwLock<HashMap<String, Arc<Metric>>>,
@@ -125,31 +80,14 @@ impl Registry {
         }
     }
 
-    /// Registers a histogram with explicit bucket bounds (idempotent:
-    /// existing bounds win).
-    ///
-    /// # Panics
-    ///
-    /// Panics if bounds are not strictly ascending or the name is
-    /// registered as a different kind.
-    pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
-        match &*self.get_or_insert(name, || Metric::Histogram(HistogramCell::new(bounds))) {
-            Metric::Histogram(_) => {}
-            _ => panic!("metric {name:?} is not a histogram"),
-        }
-    }
-
-    /// Records `value` in the histogram `name` (registered with
-    /// [`DEFAULT_BUCKETS`] on first use).
+    /// Records `value` in the histogram `name`.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn histogram_record(&self, name: &str, value: f64) {
-        match &*self.get_or_insert(name, || {
-            Metric::Histogram(HistogramCell::new(&DEFAULT_BUCKETS))
-        }) {
-            Metric::Histogram(h) => h.record(value),
+    pub fn histogram_record(&self, name: &str, value: u64) {
+        match &*self.get_or_insert(name, || Metric::Histogram(Mutex::new(LogHistogram::new()))) {
+            Metric::Histogram(h) => h.lock().expect("histogram lock").record(value),
             _ => panic!("metric {name:?} is not a histogram"),
         }
     }
@@ -167,18 +105,14 @@ impl Registry {
                 Metric::Gauge(g) => {
                     gauges.push((name.clone(), f64::from_bits(g.load(Ordering::Relaxed))));
                 }
-                Metric::Histogram(h) => histograms.push(HistogramSnapshot {
-                    name: name.clone(),
-                    bounds: h.bounds.clone(),
-                    counts: h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                    sum: f64::from_bits(h.sum_bits.load(Ordering::Relaxed)),
-                    count: h.count.load(Ordering::Relaxed),
-                }),
+                Metric::Histogram(h) => {
+                    histograms.push((name.clone(), h.lock().expect("histogram lock").snapshot()))
+                }
             }
         }
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        histograms.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             counters,
             gauges,
@@ -192,52 +126,6 @@ impl Registry {
     }
 }
 
-/// Frozen histogram state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Histogram name.
-    pub name: String,
-    /// Bucket upper bounds.
-    pub bounds: Vec<f64>,
-    /// Per-bucket counts (one extra overflow bucket at the end).
-    pub counts: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean observed value (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        self.sum / self.count as f64
-    }
-}
-
-impl ToJson for HistogramSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("bounds", self.bounds.to_json()),
-            ("counts", self.counts.to_json()),
-            ("sum", self.sum.to_json()),
-            ("count", self.count.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HistogramSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(HistogramSnapshot {
-            name: FromJson::from_json(json.field("name")?)?,
-            bounds: FromJson::from_json(json.field("bounds")?)?,
-            counts: FromJson::from_json(json.field("counts")?)?,
-            sum: FromJson::from_json(json.field("sum")?)?,
-            count: FromJson::from_json(json.field("count")?)?,
-        })
-    }
-}
-
 /// Frozen registry state: all metrics by kind, sorted by name.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -245,8 +133,8 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, last value)` pairs.
     pub gauges: Vec<(String, f64)>,
-    /// Histogram states.
-    pub histograms: Vec<HistogramSnapshot>,
+    /// `(name, histogram)` pairs.
+    pub histograms: Vec<(String, HdrSnapshot)>,
 }
 
 impl MetricsSnapshot {
@@ -264,53 +152,47 @@ impl MetricsSnapshot {
     }
 
     /// Looks up a histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
+    pub fn histogram(&self, name: &str) -> Option<&HdrSnapshot> {
+        self.histograms
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, h)| h)
     }
 }
 
 impl ToJson for MetricsSnapshot {
     fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .iter()
-                .map(|(n, v)| (n.clone(), v.to_json()))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(n, v)| (n.clone(), v.to_json()))
-                .collect(),
-        );
+        fn named<T: ToJson>(pairs: &[(String, T)]) -> Json {
+            Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(n, v)| (n.clone(), v.to_json()))
+                    .collect(),
+            )
+        }
         Json::obj([
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", self.histograms.to_json()),
+            ("counters", named(&self.counters)),
+            ("gauges", named(&self.gauges)),
+            ("histograms", named(&self.histograms)),
         ])
     }
 }
 
 impl FromJson for MetricsSnapshot {
     fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let obj_pairs = |j: &Json| -> Result<Vec<(String, Json)>, JsonError> {
-            match j {
-                Json::Obj(fields) => Ok(fields.clone()),
+        fn named<T: FromJson>(json: &Json) -> Result<Vec<(String, T)>, JsonError> {
+            match json {
+                Json::Obj(fields) => fields
+                    .iter()
+                    .map(|(n, v)| Ok((n.clone(), T::from_json(v)?)))
+                    .collect(),
                 other => Err(JsonError(format!("expected object, got {other:?}"))),
             }
-        };
-        let counters = obj_pairs(json.field("counters")?)?
-            .into_iter()
-            .map(|(n, v)| Ok((n, u64::from_json(&v)?)))
-            .collect::<Result<_, JsonError>>()?;
-        let gauges = obj_pairs(json.field("gauges")?)?
-            .into_iter()
-            .map(|(n, v)| Ok((n, f64::from_json(&v)?)))
-            .collect::<Result<_, JsonError>>()?;
+        }
         Ok(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms: FromJson::from_json(json.field("histograms")?)?,
+            counters: named(json.field("counters")?)?,
+            gauges: named(json.field("gauges")?)?,
+            histograms: named(json.field("histograms")?)?,
         })
     }
 }
@@ -339,26 +221,31 @@ mod tests {
     #[test]
     fn histograms_bucket_correctly() {
         let r = Registry::new();
-        r.register_histogram("h", &[1.0, 10.0, 100.0]);
-        for v in [0.5, 1.0, 5.0, 50.0, 5000.0] {
+        // Values below 32 sit in exact single-value buckets.
+        for v in [1, 1, 5, 20, 31] {
             r.histogram_record("h", v);
         }
         let snap = r.snapshot();
         let h = snap.histogram("h").unwrap();
-        // <=1: {0.5, 1.0}; <=10: {5.0}; <=100: {50.0}; overflow: {5000}.
-        assert_eq!(h.counts, vec![2, 1, 1, 1]);
-        assert_eq!(h.count, 5);
-        assert!((h.sum - 5056.5).abs() < 1e-9);
-        assert!((h.mean() - 5056.5 / 5.0).abs() < 1e-9);
+        assert_eq!(h.buckets, vec![(1, 2), (5, 1), (20, 1), (31, 1)]);
+        assert_eq!((h.count, h.sum), (5, 58));
+        assert_eq!(h.quantile(0.5), 5);
+        assert_eq!(h.quantile(1.0), 31);
     }
 
     #[test]
-    fn default_buckets_cover_wide_range() {
+    fn histograms_cover_a_wide_range() {
         let r = Registry::new();
-        r.histogram_record("d", 3.0);
-        r.histogram_record("d", 3e8);
+        r.histogram_record("d", 3);
+        r.histogram_record("d", 300_000_000);
         let snap = r.snapshot();
-        assert_eq!(snap.histogram("d").unwrap().count, 2);
+        let h = snap.histogram("d").unwrap();
+        assert_eq!(h.count, 2);
+        assert_eq!(h.quantile(0.5), 3);
+        // The tail is a bucket upper bound: never below the value, and
+        // within one bucket width of it.
+        let top = h.quantile(1.0);
+        assert!(top >= 300_000_000 && top - 300_000_000 < crate::hdr::bucket_width(300_000_000));
     }
 
     #[test]
@@ -375,8 +262,7 @@ mod tests {
         r.counter_add("c.one", 7);
         r.counter_add("c.two", 9);
         r.gauge_set("g.x", 0.5);
-        r.register_histogram("h", &[1.0, 2.0]);
-        r.histogram_record("h", 1.5);
+        r.histogram_record("h", 1_500);
         let snap = r.snapshot();
         let text = snap.to_json().to_string();
         let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -406,7 +292,7 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..1000 {
                         r.counter_add("hot", 1);
-                        r.histogram_record("hist", 2.0);
+                        r.histogram_record("hist", 2);
                     }
                 });
             }
@@ -414,6 +300,6 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("hot"), Some(4000));
         assert_eq!(snap.histogram("hist").unwrap().count, 4000);
-        assert!((snap.histogram("hist").unwrap().sum - 8000.0).abs() < 1e-9);
+        assert_eq!(snap.histogram("hist").unwrap().sum, 8000);
     }
 }

@@ -9,8 +9,9 @@
 # - serve_load groups: sustained req/s may not drop more than
 #   tolerance_pct below baseline; per-rung p50/p99 drain latency may
 #   not rise more than tolerance_pct above baseline (rungs with zero
-#   baseline samples are skipped); the identity and chaos checks must
-#   hold and the violations list must be empty.
+#   baseline samples are skipped); the identity check must have
+#   compared at least one response and found them bit-identical, the
+#   chaos checks must hold and the violations list must be empty.
 # - harness groups (cargo-bench artifacts with a results[] array):
 #   per-case median_ns and p95_ns may not rise more than
 #   tolerance_pct above baseline.
@@ -64,8 +65,11 @@ def check_high(label, base, fresh):
 def check_serve_load(name, base, fresh):
     if fresh.get("violations"):
         regressions.append(f"{name}: fresh run reported violations: {fresh['violations']}")
-    if not fresh.get("identity", {}).get("bit_identical", False):
+    identity = fresh.get("identity", {})
+    if not identity.get("bit_identical", False):
         regressions.append(f"{name}: batched inference no longer bit-identical to per-request")
+    if identity.get("checked", 0) <= 0:
+        regressions.append(f"{name}: identity check compared no responses")
     chaos = fresh.get("chaos", {})
     if not chaos.get("healthy_shards_stayed_fresh", False):
         regressions.append(f"{name}: chaos blast radius escaped the killed shard")
