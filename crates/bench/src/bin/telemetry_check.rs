@@ -81,8 +81,9 @@ const EXPECTED_GAUGES: &[&str] = &[
     "ppo.value_loss",
 ];
 
-/// Serving event kinds, each paired with the counter its emit helper
-/// bumps exactly once per event.
+/// Serving event kinds, each paired with the counter `telemetry::emit`
+/// bumps exactly once per event. Kept here as the gate's independent
+/// reference, not derived from `Event::counter`.
 const SERVE_KINDS: &[(&str, &str)] = &[
     ("rung_served", "serve.responses"),
     ("breaker_transition", "serve.breaker_transitions"),
@@ -304,7 +305,7 @@ fn validate_serve(events: &[Event], relax: &BTreeSet<String>) {
             .get(*counter)
             .copied()
             .unwrap_or_else(|| panic!("missing counter {counter:?} in trace"));
-        // The emit helpers bump the paired counter exactly once per
+        // `telemetry::emit` bumps the paired counter exactly once per
         // typed event, so the trace must agree with itself.
         assert_eq!(
             delta_sum, seen,

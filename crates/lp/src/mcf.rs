@@ -590,7 +590,10 @@ impl CachedOracle {
                 ) {
                     Ok(sol) => {
                         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                        gddr_telemetry::lp_fallback_event("bland_retry", false);
+                        gddr_telemetry::emit(|| gddr_telemetry::Event::LpFallback {
+                            strategy: "bland_retry".to_string(),
+                            degraded: false,
+                        });
                         self.insert(key, sol.u_max, false);
                         return Ok(OracleValue {
                             u_opt: sol.u_max,
@@ -609,7 +612,10 @@ impl CachedOracle {
         // the true optimum, flagged degraded.
         let u_bound = shortest_path_bound(&self.graph, dm)?;
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        gddr_telemetry::lp_fallback_event("shortest_path_bound", true);
+        gddr_telemetry::emit(|| gddr_telemetry::Event::LpFallback {
+            strategy: "shortest_path_bound".to_string(),
+            degraded: true,
+        });
         self.insert(key, u_bound, true);
         Ok(OracleValue {
             u_opt: u_bound,

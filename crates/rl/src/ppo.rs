@@ -606,11 +606,11 @@ impl Ppo {
                     episode_reward = last_good.episode_reward;
                     obs = env.current_obs();
                     consecutive_bad = 0;
-                    gddr_telemetry::rollback_event(
-                        log.total_steps as u64,
-                        "non-finite updates",
+                    gddr_telemetry::emit(|| gddr_telemetry::Event::Rollback {
+                        step: log.total_steps as u64,
+                        reason: "non-finite updates".to_string(),
                         lr_scale,
-                    );
+                    });
                 }
                 continue;
             }
@@ -625,10 +625,10 @@ impl Ppo {
                 if let Some(path) = &ft.checkpoint_path {
                     last_good.save(path)?;
                     report.checkpoints_written += 1;
-                    gddr_telemetry::checkpoint_event(
-                        log.total_steps as u64,
-                        &path.to_string_lossy(),
-                    );
+                    gddr_telemetry::emit(|| gddr_telemetry::Event::Checkpoint {
+                        step: log.total_steps as u64,
+                        path: path.to_string_lossy().into_owned(),
+                    });
                 }
                 updates_since_ckpt = 0;
             }

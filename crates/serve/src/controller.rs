@@ -29,7 +29,7 @@ use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::softmin_routing;
 use gddr_routing::Routing;
 use gddr_ser::{FromJson, Json, ToJson};
-use gddr_telemetry::{HdrSnapshot, SloConfig, SloTracker, TraceCtx};
+use gddr_telemetry::{Event, HdrSnapshot, SloConfig, SloTracker, TraceCtx};
 use gddr_traffic::DemandMatrix;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
@@ -349,7 +349,12 @@ impl Controller {
         self.pool.revive();
         self.breaker = CircuitBreaker::new(self.config.breaker.clone());
         if let Some((from, to)) = self.health.reset() {
-            gddr_telemetry::health_transition_event(self.shard, from.name(), to.name(), self.epoch);
+            gddr_telemetry::emit(|| Event::HealthTransition {
+                shard: self.shard,
+                from: from.name().to_string(),
+                to: to.name().to_string(),
+                epoch: self.epoch,
+            });
         }
     }
 
@@ -513,7 +518,12 @@ impl Controller {
     fn note_breaker(&mut self, transition: Option<Transition>, epoch: u64) {
         if let Some(t) = transition {
             self.stats.breaker_transitions += 1;
-            gddr_telemetry::breaker_transition_event(self.shard, t.from.name(), t.to.name(), epoch);
+            gddr_telemetry::emit(|| Event::BreakerTransition {
+                shard: self.shard,
+                from: t.from.name().to_string(),
+                to: t.to.name().to_string(),
+                epoch,
+            });
         }
     }
 
@@ -809,7 +819,13 @@ impl Controller {
             Rung::Ecmp => self.stats.ecmp += 1,
             Rung::ShortestPath => self.stats.shortest_path += 1,
         }
-        gddr_telemetry::rung_served_event(self.shard, epoch, rung.name(), shed, info.ctx.trace_id);
+        gddr_telemetry::emit(|| Event::RungServed {
+            shard: self.shard,
+            epoch,
+            rung: rung.name().to_string(),
+            shed,
+            trace: info.ctx.trace_id,
+        });
 
         let latency_ns = info.admitted_at.elapsed().as_nanos() as u64;
 
@@ -828,7 +844,14 @@ impl Controller {
             .observe_response(rung.depth(), shed, latency_ns, epoch)
         {
             self.stats.slo_alerts += 1;
-            gddr_telemetry::slo_alert_event(self.shard, "serve.good_fraction", &alert);
+            gddr_telemetry::emit(|| Event::SloAlert {
+                shard: self.shard,
+                metric: "serve.good_fraction".to_string(),
+                burn_rate: alert.burn_rate,
+                threshold: alert.threshold,
+                window: alert.window,
+                epoch: alert.epoch,
+            });
         }
 
         let breaker_disturbed = self.breaker.state() != BreakerState::Closed;
@@ -838,7 +861,12 @@ impl Controller {
             breaker_disturbed,
             slo_breached: self.slo.breached(),
         }) {
-            gddr_telemetry::health_transition_event(self.shard, from.name(), to.name(), epoch);
+            gddr_telemetry::emit(|| Event::HealthTransition {
+                shard: self.shard,
+                from: from.name().to_string(),
+                to: to.name().to_string(),
+                epoch,
+            });
         }
 
         gddr_telemetry::trace_annotation_event(

@@ -348,6 +348,66 @@ impl Event {
             Event::Recovery { .. } => "recovery",
         }
     }
+
+    /// The registry counter a lifecycle event bumps when emitted via
+    /// [`crate::emit`], with its delta: 1 per event, except
+    /// `fault_injected`, which adds the edges it removed. `None` for
+    /// observation kinds that aggregate on their own paths.
+    pub fn counter(&self) -> Option<(&'static str, u64)> {
+        Some(match self {
+            Event::Checkpoint { .. } => ("ppo.checkpoints", 1),
+            Event::Rollback { .. } => ("ppo.rollbacks", 1),
+            Event::LpFallback { .. } => ("lp.oracle.fallbacks", 1),
+            Event::FaultInjected { edges_removed, .. } => ("env.fault_injected", *edges_removed),
+            Event::RungServed { .. } => ("serve.responses", 1),
+            Event::BreakerTransition { .. } => ("serve.breaker_transitions", 1),
+            Event::WorkerRestart { .. } => ("serve.worker_restarts", 1),
+            Event::RequestShed { .. } => ("serve.shed", 1),
+            Event::HealthTransition { .. } => ("serve.health_transitions", 1),
+            Event::SloAlert { .. } => ("serve.slo_alerts", 1),
+            Event::Failover { .. } => ("serve.failovers", 1),
+            Event::HedgeFired { .. } => ("serve.hedges_fired", 1),
+            Event::ReplicaRecovered { .. } => ("serve.replica_recoveries", 1),
+            Event::SnapshotWritten { .. } => ("store.snapshots_written", 1),
+            Event::Recovery { .. } => ("store.recoveries", 1),
+            Event::Span { .. }
+            | Event::Counter { .. }
+            | Event::Gauge { .. }
+            | Event::Histogram { .. }
+            | Event::Message { .. }
+            | Event::TraceSpan { .. }
+            | Event::TraceAnnotation { .. } => return None,
+        })
+    }
+
+    /// The shard that owns this event, for every kind that carries a
+    /// `shard` field.
+    pub fn shard(&self) -> Option<u64> {
+        match self {
+            Event::RungServed { shard, .. }
+            | Event::BreakerTransition { shard, .. }
+            | Event::WorkerRestart { shard, .. }
+            | Event::RequestShed { shard, .. }
+            | Event::HealthTransition { shard, .. }
+            | Event::TraceSpan { shard, .. }
+            | Event::TraceAnnotation { shard, .. }
+            | Event::SloAlert { shard, .. }
+            | Event::Failover { shard, .. }
+            | Event::HedgeFired { shard, .. }
+            | Event::ReplicaRecovered { shard, .. } => Some(*shard),
+            Event::Span { .. }
+            | Event::Counter { .. }
+            | Event::Gauge { .. }
+            | Event::Histogram { .. }
+            | Event::Message { .. }
+            | Event::Checkpoint { .. }
+            | Event::Rollback { .. }
+            | Event::LpFallback { .. }
+            | Event::FaultInjected { .. }
+            | Event::SnapshotWritten { .. }
+            | Event::Recovery { .. } => None,
+        }
+    }
 }
 
 impl ToJson for Event {
@@ -944,6 +1004,32 @@ mod tests {
         for event in samples() {
             assert!(!event.name().is_empty());
             assert!(!event.kind().is_empty());
+        }
+    }
+
+    #[test]
+    fn shard_matches_the_serialised_shard_field() {
+        for event in samples() {
+            let json = event.to_json();
+            let field = json.field("shard").ok().map(|v| u64::from_json(v).unwrap());
+            assert_eq!(event.shard(), field, "{}", event.kind());
+        }
+    }
+
+    #[test]
+    fn observation_kinds_bump_no_counter() {
+        for event in samples() {
+            let observation = matches!(
+                event.kind(),
+                "span"
+                    | "counter"
+                    | "gauge"
+                    | "histogram"
+                    | "message"
+                    | "trace_span"
+                    | "trace_annotation"
+            );
+            assert_eq!(event.counter().is_none(), observation, "{}", event.kind());
         }
     }
 }

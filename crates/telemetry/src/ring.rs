@@ -4,12 +4,14 @@
 //! Production and chaos runs cannot afford (or want) a full JSONL
 //! stream, but when something breaks the *recent* event history is
 //! exactly what a postmortem needs. [`FlightRecorder`] keeps the last
-//! `capacity` events per ring shard under per-shard mutexes (events
-//! carrying a shard id hash to "their" ring, so one noisy shard cannot
-//! evict another's history), stamped with a global sequence number so
-//! a dump interleaves shards back into true arrival order.
+//! 256 events in each of 8 rings under per-ring mutexes (every event
+//! with an [`Event::shard`] hashes to "its" ring, so one noisy shard
+//! cannot evict another's history), stamped with a global sequence
+//! number so a dump interleaves rings back into true arrival order.
+//! Both sizes are fixed; the only knobs are the dump path and the
+//! trigger kinds given to [`FlightRecorder::with_dump`].
 //!
-//! A dump — triggered automatically the first time a configured event
+//! A dump — triggered automatically the first time a trigger event
 //! kind (e.g. `slo_alert`) is recorded, or manually on a chaos
 //! assertion failure — writes a replayable JSONL artifact: one
 //! [`Event::Message`] header describing the trigger, then the buffered
@@ -30,46 +32,11 @@ use gddr_ser::ToJson;
 use crate::event::Event;
 use crate::sink::Sink;
 
-/// Configuration for a [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// Ring shards (events hash across them by owning shard id).
-    pub rings: usize,
-    /// Events retained per ring shard.
-    pub capacity: usize,
-    /// Event kinds that trigger an automatic dump (first occurrence
-    /// wins; later triggers are ignored so the artifact captures the
-    /// *initial* failure).
-    pub dump_on: Vec<String>,
-    /// Where the automatic dump is written.
-    pub dump_path: Option<PathBuf>,
-}
+/// Ring shards; events hash across them by owning shard id.
+const RINGS: usize = 8;
 
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            rings: 8,
-            capacity: 256,
-            dump_on: Vec::new(),
-            dump_path: None,
-        }
-    }
-}
-
-/// The shard id an event belongs to, for ring placement.
-fn event_shard(event: &Event) -> Option<u64> {
-    match event {
-        Event::RungServed { shard, .. }
-        | Event::BreakerTransition { shard, .. }
-        | Event::WorkerRestart { shard, .. }
-        | Event::RequestShed { shard, .. }
-        | Event::HealthTransition { shard, .. }
-        | Event::TraceSpan { shard, .. }
-        | Event::TraceAnnotation { shard, .. }
-        | Event::SloAlert { shard, .. } => Some(*shard),
-        _ => None,
-    }
-}
+/// Events retained per ring shard.
+const CAPACITY: usize = 256;
 
 /// FNV-1a over a short string (ring placement for shard-less events).
 fn kind_hash(kind: &str) -> u64 {
@@ -85,39 +52,35 @@ fn kind_hash(kind: &str) -> u64 {
 /// for every production and chaos run: recording is one atomic
 /// fetch-add, one uncontended per-ring mutex, one clone, no I/O.
 pub struct FlightRecorder {
-    config: FlightRecorderConfig,
     rings: Vec<Mutex<VecDeque<(u64, Event)>>>,
     seq: AtomicU64,
+    /// Event kinds that trigger the automatic dump. The first
+    /// occurrence wins; later triggers are ignored so the artifact
+    /// captures the *initial* failure.
+    dump_on: Vec<String>,
+    /// Where the automatic dump is written.
+    dump_path: PathBuf,
     dumped: AtomicBool,
 }
 
 impl FlightRecorder {
-    /// A recorder with the given configuration.
-    pub fn new(config: FlightRecorderConfig) -> Self {
-        let rings = (0..config.rings.max(1))
-            .map(|_| Mutex::new(VecDeque::with_capacity(config.capacity)))
-            .collect();
+    /// A recorder that auto-dumps to `path` on the first event whose
+    /// kind is in `dump_on`.
+    pub fn with_dump(path: impl Into<PathBuf>, dump_on: &[&str]) -> Self {
         FlightRecorder {
-            config,
-            rings,
+            rings: (0..RINGS)
+                .map(|_| Mutex::new(VecDeque::with_capacity(CAPACITY)))
+                .collect(),
             seq: AtomicU64::new(0),
+            dump_on: dump_on.iter().map(|k| (*k).to_string()).collect(),
+            dump_path: path.into(),
             dumped: AtomicBool::new(false),
         }
     }
 
-    /// A recorder that auto-dumps to `path` on the first event whose
-    /// kind is in `dump_on`.
-    pub fn with_dump(path: impl Into<PathBuf>, dump_on: &[&str]) -> Self {
-        FlightRecorder::new(FlightRecorderConfig {
-            dump_on: dump_on.iter().map(|k| (*k).to_string()).collect(),
-            dump_path: Some(path.into()),
-            ..FlightRecorderConfig::default()
-        })
-    }
-
     fn ring_for(&self, event: &Event) -> &Mutex<VecDeque<(u64, Event)>> {
-        let key = event_shard(event).unwrap_or_else(|| kind_hash(event.kind()));
-        &self.rings[(key % self.rings.len() as u64) as usize]
+        let key = event.shard().unwrap_or_else(|| kind_hash(event.kind()));
+        &self.rings[(key % RINGS as u64) as usize]
     }
 
     /// Ignores lock poisoning: a panicking worker thread must not take
@@ -176,9 +139,6 @@ impl FlightRecorder {
     /// Marks the auto-dump latch taken and dumps if this call won the
     /// race. Returns whether a dump was written.
     pub fn dump_once(&self, trigger: &str) -> bool {
-        let Some(path) = self.config.dump_path.clone() else {
-            return false;
-        };
         if self
             .dumped
             .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
@@ -188,7 +148,7 @@ impl FlightRecorder {
         }
         // A failed postmortem write must not take serving down; the
         // latch stays set so the artifact reflects the first trigger.
-        self.dump(trigger, &path).is_ok()
+        self.dump(trigger, &self.dump_path).is_ok()
     }
 }
 
@@ -197,13 +157,12 @@ impl Sink for FlightRecorder {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         {
             let mut ring = Self::lock(self.ring_for(event));
-            if ring.len() == self.config.capacity {
+            if ring.len() == CAPACITY {
                 ring.pop_front();
             }
             ring.push_back((seq, event.clone()));
         }
-        if !self.config.dump_on.is_empty() && self.config.dump_on.iter().any(|k| k == event.kind())
-        {
+        if self.dump_on.iter().any(|k| k == event.kind()) {
             self.dump_once(&format!("{} event", event.kind()));
         }
     }
@@ -236,54 +195,82 @@ mod tests {
         }
     }
 
+    /// A recorder that never auto-dumps.
+    fn recorder() -> FlightRecorder {
+        FlightRecorder::with_dump(temp_path("unused"), &[])
+    }
+
     #[test]
     fn buffer_is_bounded_and_ordered() {
-        let rec = FlightRecorder::new(FlightRecorderConfig {
-            rings: 2,
-            capacity: 4,
-            ..FlightRecorderConfig::default()
-        });
-        for i in 0..100 {
-            rec.record(&served(i % 2, i));
+        let rec = recorder();
+        let retained = (RINGS * CAPACITY) as u64;
+        let total = 3 * retained;
+        for i in 0..total {
+            rec.record(&served(i % RINGS as u64, i));
         }
-        assert_eq!(rec.len(), 8);
-        let events = rec.drain_ordered();
-        let epochs: Vec<u64> = events
+        assert_eq!(rec.len(), RINGS * CAPACITY);
+        let epochs: Vec<u64> = rec
+            .drain_ordered()
             .iter()
             .map(|(_, e)| match e {
                 Event::RungServed { epoch, .. } => *epoch,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        // The newest 4 per ring shard, interleaved in arrival order.
-        assert_eq!(epochs, vec![92, 93, 94, 95, 96, 97, 98, 99]);
+        // The newest CAPACITY per ring shard, interleaved in arrival order.
+        assert_eq!(epochs, (total - retained..total).collect::<Vec<_>>());
+    }
+
+    /// Every shard-tagged kind a replica set streams.
+    fn shard_history(shard: u64, epoch: u64) -> Vec<Event> {
+        vec![
+            served(shard, epoch),
+            Event::Failover {
+                shard,
+                from_replica: 0,
+                to_replica: 1,
+                reason: "pool_dead".to_string(),
+                clock: epoch,
+            },
+            Event::HedgeFired {
+                shard,
+                epoch,
+                primary: 1,
+                standby: 0,
+                wins: 1,
+                batch: 2,
+            },
+            Event::ReplicaRecovered {
+                shard,
+                replica: 0,
+                probes: 8,
+                clock: epoch,
+            },
+        ]
     }
 
     #[test]
     fn one_noisy_shard_cannot_evict_anothers_history() {
-        let rec = FlightRecorder::new(FlightRecorderConfig {
-            rings: 4,
-            capacity: 8,
-            ..FlightRecorderConfig::default()
-        });
-        rec.record(&served(1, 7));
-        for i in 0..1000 {
-            rec.record(&served(2, i));
+        let rec = recorder();
+        let quiet = shard_history(1, 7);
+        for event in &quiet {
+            rec.record(event);
         }
-        assert!(rec.drain_ordered().iter().any(|(_, e)| matches!(
-            e,
-            Event::RungServed {
-                shard: 1,
-                epoch: 7,
-                ..
+        for i in 0..CAPACITY as u64 {
+            for event in shard_history(2, i) {
+                rec.record(&event);
             }
-        )));
+        }
+        let kept: Vec<Event> = rec.drain_ordered().into_iter().map(|(_, e)| e).collect();
+        for event in &quiet {
+            assert!(kept.contains(event), "{} was evicted", event.kind());
+        }
     }
 
     #[test]
     fn dump_writes_replayable_jsonl_with_trigger_last() {
         let path = temp_path("manual");
-        let rec = FlightRecorder::new(FlightRecorderConfig::default());
+        let rec = recorder();
         for i in 0..10 {
             rec.record(&counter(i));
         }

@@ -16,7 +16,7 @@
 //! Evaluation is purely logical (counts, not clocks), so seeded runs
 //! alert at identical epochs. The tracker returns [`SloAlertInfo`]
 //! values; actually emitting [`crate::Event::SloAlert`] is the
-//! caller's job (via [`crate::slo_alert_event`]), keeping this module
+//! caller's job (via [`crate::emit`]), keeping this module
 //! deterministic and test-friendly.
 
 use std::collections::VecDeque;
