@@ -1,7 +1,9 @@
 //! Microbenchmark: softmin routing translation (paper Alg. 2) across
-//! topology sizes and pruning modes.
+//! topology sizes and pruning modes, from the zoo up to the 400-node
+//! hierarchical WAN.
 
 use gddr_bench::harness::BenchGroup;
+use gddr_net::topology::hierarchical::hierarchical_wan_sized;
 use gddr_net::topology::zoo;
 use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
@@ -11,7 +13,14 @@ use gddr_routing::softmin::{softmin_routing, SoftminConfig};
 fn main() {
     let mut group = BenchGroup::new("softmin_routing");
     group.sample_size(20);
-    for g in [zoo::cesnet(), zoo::abilene(), zoo::geant()] {
+    let wan = |n| hierarchical_wan_sized(n, &mut StdRng::seed_from_u64(3));
+    for g in [
+        zoo::cesnet(),
+        zoo::abilene(),
+        zoo::geant(),
+        wan(100),
+        wan(400),
+    ] {
         let mut rng = StdRng::seed_from_u64(0);
         let weights: Vec<f64> = (0..g.num_edges())
             .map(|_| rng.gen_range(0.5..4.5))

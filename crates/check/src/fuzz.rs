@@ -169,6 +169,23 @@ fn gen_weights(rng: &mut StdRng, m: usize) -> Vec<f64> {
     (0..m).map(|_| rng.gen_range(0.1..10.0)).collect()
 }
 
+/// [`gen_weights`], except that half the cases also put ~30% of their
+/// edges in [5e-13, 2e-12], around the distance DAG's 1e-12 descent
+/// epsilon. There a vertex's shortest out-edge can fail the descent
+/// test, which is where one-pass softmin falls back to the two-pass
+/// path.
+fn gen_weights_near_epsilon(rng: &mut StdRng, m: usize) -> Vec<f64> {
+    let mut w = gen_weights(rng, m);
+    if rng.gen_bool(0.5) {
+        for x in &mut w {
+            if rng.gen_bool(0.3) {
+                *x = rng.gen_range(5e-13..2e-12);
+            }
+        }
+    }
+    w
+}
+
 /// A weight vector with one adversarial entry injected.
 fn gen_bad_weights(rng: &mut StdRng, m: usize) -> (Vec<f64>, usize) {
     let mut w = gen_weights(rng, m);
@@ -343,7 +360,7 @@ fn target_softmin_differential(seed: u64, size: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = 3 + (size as usize % 4); // Tiny: exhaustive enumeration.
     let g = erdos_renyi(n, 0.4, 100.0, &mut rng);
-    let w = gen_weights(&mut rng, g.num_edges());
+    let w = gen_weights_near_epsilon(&mut rng, g.num_edges());
     let routing = softmin_routing(&g, &w, &SoftminConfig::default())
         .map_err(|e| format!("softmin failed: {e}"))?;
     let s = rng.gen_range(0..n);

@@ -17,6 +17,11 @@ use crate::obs::DdrObs;
 /// observation in order. The serving fleet coalesces requests into one
 /// batched forward pass and relies on batch membership being
 /// unobservable in the answers.
+///
+/// Greedy inference needs no gradients, so [`GnnPolicy`] serves it
+/// tape-free (`EncodeProcessDecode::eval` in `gddr-gnn`): no autodiff
+/// tape, no action distribution, and none of the network outputs the
+/// greedy action does not read.
 pub trait BatchGreedy {
     /// Greedy actions for every observation, in order.
     fn act_greedy_batch(&self, obs: &[DdrObs]) -> Vec<Vec<f64>>;

@@ -5,6 +5,11 @@
 //! of a diagonal Gaussian; the value estimate is decoded from the
 //! global attribute. The parameter count is independent of the graph,
 //! so a trained policy applies unchanged to other topologies.
+//!
+//! Training (`act`, `evaluate`) records the forward on an autodiff
+//! tape. Greedy inference (`act_greedy`, `act_greedy_batch`) is
+//! tape-free: it runs [`EncodeProcessDecode::eval`], which computes
+//! only the decoded edge column, bitwise equal to the tape's mean.
 
 use gddr_rng::rngs::StdRng;
 
@@ -43,6 +48,8 @@ impl Default for GnnPolicyConfig {
 }
 
 /// One-shot GNN policy: all `|E|` edge weights in a single action.
+///
+/// Greedy inference never builds a tape (see the module docs).
 #[derive(Debug, Clone)]
 pub struct GnnPolicy {
     store: ParamStore,
@@ -146,10 +153,13 @@ impl Policy for GnnPolicy {
         }
     }
 
+    /// The Gaussian's mode: the decoded edge column, computed by the
+    /// tape-free [`EncodeProcessDecode::eval`].
     fn act_greedy(&self, obs: &DdrObs) -> Vec<f64> {
-        let mut tape = Tape::new();
-        let (dist, _) = self.dist(&mut tape, obs);
-        dist.mode(&tape).as_slice().to_vec()
+        use crate::policies::BatchGreedy;
+        self.act_greedy_batch(std::slice::from_ref(obs))
+            .pop()
+            .expect("one action per observation")
     }
 
     fn evaluate(&self, tape: &mut Tape, obs: &DdrObs, action: &[f64]) -> Evaluation {
@@ -174,35 +184,27 @@ impl Policy for GnnPolicy {
 }
 
 impl crate::policies::BatchGreedy for GnnPolicy {
-    /// One block-diagonal forward over all observations. The greedy
-    /// action is the mean — the decoded m×1 edge column — so slicing
-    /// the batched edge output per graph reproduces
-    /// [`Policy::act_greedy`] bit-for-bit
-    /// ([`GraphBatch`] guarantees the forward itself is bit-identical).
+    /// One block-diagonal, tape-free forward over all observations. The
+    /// greedy action is the mean — the decoded m×1 edge column — which
+    /// [`EncodeProcessDecode::eval`] computes bitwise as the tape would,
+    /// without recording gradients or computing the outputs greedy
+    /// serving never reads. Slicing its batched output per graph
+    /// reproduces [`Policy::act_greedy`] bit-for-bit ([`GraphBatch`]
+    /// guarantees the forward itself is bit-identical).
     fn act_greedy_batch(&self, obs: &[DdrObs]) -> Vec<Vec<f64>> {
         if obs.is_empty() {
             return Vec::new();
         }
         let structures: Vec<&GraphStructure> = obs.iter().map(|o| o.structure.as_ref()).collect();
         let batch = GraphBatch::new(&structures);
-        let features: Vec<GraphFeatures> = obs
-            .iter()
-            .map(|o| GraphFeatures {
-                nodes: o.node_feats.clone(),
-                edges: o.edge_feats.clone(),
-                globals: o.globals.clone(),
-            })
-            .collect();
-        let feat_refs: Vec<&GraphFeatures> = features.iter().collect();
-        let packed = batch.batch_features(&feat_refs);
-        let mut tape = Tape::new();
-        let out = self
-            .net
-            .forward_batched(&mut tape, &self.store, &batch, &packed);
-        batch
-            .unbatch_edges(tape.value(out.edges))
-            .into_iter()
-            .map(|m| m.as_slice().to_vec())
+        let nodes: Vec<&Matrix> = obs.iter().map(|o| &o.node_feats).collect();
+        let edges: Vec<&Matrix> = obs.iter().map(|o| &o.edge_feats).collect();
+        let globals: Vec<&Matrix> = obs.iter().map(|o| &o.globals).collect();
+        let packed = batch.pack(&nodes, &edges, &globals);
+        let out = self.net.eval(&self.store, &batch, &packed);
+        // One decoded column, so graph g's actions are its edge rows.
+        (0..batch.num_graphs)
+            .map(|g| out.as_slice()[batch.edge_offsets[g]..batch.edge_offsets[g + 1]].to_vec())
             .collect()
     }
 }
@@ -323,6 +325,52 @@ mod tests {
         // must answer exactly as if each were served alone.
         assert_eq!(batched, sequential);
         assert!(policy.act_greedy_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn tape_free_greedy_is_the_tape_mean_bitwise() {
+        use crate::policies::BatchGreedy;
+        for layer_norm in [false, true] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let config = GnnPolicyConfig {
+                memory: 2,
+                latent: 8,
+                hidden: 16,
+                message_steps: 2,
+                layer_norm,
+            };
+            let policy = GnnPolicy::new(&config, -0.5, &mut rng);
+            let mut observations = Vec::new();
+            for g in zoo::all() {
+                let seqs = standard_sequences(&g, 1, 5, 3, &mut rng);
+                let mut env = DdrEnv::new(
+                    GraphContext::new(g, seqs),
+                    DdrEnvConfig {
+                        memory: 2,
+                        ..Default::default()
+                    },
+                );
+                observations.push(env.reset(&mut rng));
+            }
+            let tape_means: Vec<Vec<f64>> = observations
+                .iter()
+                .map(|o| {
+                    let mut tape = Tape::new();
+                    let (dist, _) = policy.dist(&mut tape, o);
+                    dist.mode(&tape).as_slice().to_vec()
+                })
+                .collect();
+            let solo: Vec<Vec<f64>> = observations.iter().map(|o| policy.act_greedy(o)).collect();
+            let bits = |v: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                v.iter()
+                    .map(|a| a.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&solo), bits(&tape_means), "layer_norm {layer_norm}");
+            for chunk in observations.chunks(4).zip(tape_means.chunks(4)) {
+                assert_eq!(bits(&policy.act_greedy_batch(chunk.0)), bits(chunk.1));
+            }
+        }
     }
 
     #[test]

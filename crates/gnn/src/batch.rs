@@ -104,21 +104,33 @@ impl GraphBatch {
     /// disagree with its structure, or feature widths differ between
     /// graphs.
     pub fn batch_features(&self, features: &[&GraphFeatures]) -> GraphFeatures {
-        assert_eq!(features.len(), self.num_graphs, "one feature set per graph");
-        for (g, f) in features.iter().enumerate() {
-            let nodes = self.node_offsets[g + 1] - self.node_offsets[g];
-            let edges = self.edge_offsets[g + 1] - self.edge_offsets[g];
-            assert_eq!(f.nodes.rows(), nodes, "graph {g}: node row mismatch");
-            assert_eq!(f.edges.rows(), edges, "graph {g}: edge row mismatch");
-            assert_eq!(f.globals.rows(), 1, "graph {g}: globals must be one row");
-        }
         let nodes: Vec<&Matrix> = features.iter().map(|f| &f.nodes).collect();
         let edges: Vec<&Matrix> = features.iter().map(|f| &f.edges).collect();
         let globals: Vec<&Matrix> = features.iter().map(|f| &f.globals).collect();
+        self.pack(&nodes, &edges, &globals)
+    }
+
+    /// [`GraphBatch::batch_features`] from per-graph matrices held
+    /// elsewhere (say, in observations), copied straight into the batch.
+    ///
+    /// # Panics
+    ///
+    /// As [`GraphBatch::batch_features`].
+    pub fn pack(&self, nodes: &[&Matrix], edges: &[&Matrix], globals: &[&Matrix]) -> GraphFeatures {
+        for parts in [nodes, edges, globals] {
+            assert_eq!(parts.len(), self.num_graphs, "one feature set per graph");
+        }
+        for g in 0..self.num_graphs {
+            let n = self.node_offsets[g + 1] - self.node_offsets[g];
+            let m = self.edge_offsets[g + 1] - self.edge_offsets[g];
+            assert_eq!(nodes[g].rows(), n, "graph {g}: node row mismatch");
+            assert_eq!(edges[g].rows(), m, "graph {g}: edge row mismatch");
+            assert_eq!(globals[g].rows(), 1, "graph {g}: globals must be one row");
+        }
         GraphFeatures {
-            nodes: Matrix::concat_rows(&nodes),
-            edges: Matrix::concat_rows(&edges),
-            globals: Matrix::concat_rows(&globals),
+            nodes: Matrix::concat_rows(nodes),
+            edges: Matrix::concat_rows(edges),
+            globals: Matrix::concat_rows(globals),
         }
     }
 
@@ -315,6 +327,57 @@ mod tests {
                     );
                 }
                 start = end;
+            }
+        }
+    }
+
+    /// The no-grad `eval` returns the tape forward's decoded edges bit
+    /// for bit — across seeds, every zoo graph, layer norm on and off,
+    /// 1–3 message-passing steps and batches of 1–4 graphs.
+    #[test]
+    fn eval_is_bit_identical_to_the_tape_forward() {
+        let zoo_graphs = zoo::all();
+        let structures: Vec<GraphStructure> =
+            zoo_graphs.iter().map(GraphStructure::from_graph).collect();
+        let mut next = 0;
+        for layer_norm in [false, true] {
+            for message_steps in 1..=3 {
+                let cfg = EpdConfig {
+                    layer_norm,
+                    message_steps,
+                    ..config()
+                };
+                for batch_size in 1..=4 {
+                    let seed = (message_steps * 10 + batch_size) as u64;
+                    let mut store = ParamStore::new();
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let net = EncodeProcessDecode::new(&mut store, "epd", &cfg, &mut rng);
+                    // Cycle through the zoo so every graph shows up in
+                    // several batch positions.
+                    let members: Vec<&GraphStructure> = (0..batch_size)
+                        .map(|_| {
+                            next += 1;
+                            &structures[next % structures.len()]
+                        })
+                        .collect();
+                    let feats: Vec<GraphFeatures> = members
+                        .iter()
+                        .enumerate()
+                        .map(|(i, s)| seeded_features(s, &cfg, seed * 100 + i as u64))
+                        .collect();
+                    let feat_refs: Vec<&GraphFeatures> = feats.iter().collect();
+                    let batch = GraphBatch::new(&members);
+                    let packed = batch.batch_features(&feat_refs);
+                    let mut tape = Tape::new();
+                    let out = net.forward_batched(&mut tape, &store, &batch, &packed);
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&net.eval(&store, &batch, &packed)),
+                        bits(tape.value(out.edges)),
+                        "layer_norm {layer_norm}, {message_steps} steps, batch {batch_size}"
+                    );
+                }
             }
         }
     }

@@ -15,10 +15,10 @@
 use gddr_rng::Rng;
 
 use gddr_nn::layers::{Activation, Mlp};
-use gddr_nn::{ParamStore, Tape, Var};
+use gddr_nn::{Matrix, ParamStore, Tape, Var};
 
 use crate::batch::GraphBatch;
-use crate::graphs::GraphStructure;
+use crate::graphs::{GraphFeatures, GraphStructure};
 
 /// Tape variables holding a graph's node/edge/global features.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +102,8 @@ impl GnBlock {
         &self.config
     }
 
-    /// One full GN-block pass.
+    /// One full GN-block pass: [`GnBlock::forward_batched`] over a
+    /// one-graph batch.
     ///
     /// # Panics
     ///
@@ -115,50 +116,7 @@ impl GnBlock {
         structure: &GraphStructure,
         input: GraphVars,
     ) -> GraphVars {
-        let _span = gddr_telemetry::span("gnn.block.forward");
-        let n = structure.num_nodes;
-        let m = structure.num_edges;
-        assert_eq!(
-            tape.value(input.nodes).shape(),
-            (n, self.config.node_in),
-            "node feature shape mismatch"
-        );
-        assert_eq!(
-            tape.value(input.edges).shape(),
-            (m, self.config.edge_in),
-            "edge feature shape mismatch"
-        );
-        assert_eq!(
-            tape.value(input.globals).shape(),
-            (1, self.config.global_in),
-            "global feature shape mismatch"
-        );
-
-        // 1. Edge update.
-        let sender_feats = tape.gather_rows(input.nodes, &structure.senders);
-        let receiver_feats = tape.gather_rows(input.nodes, &structure.receivers);
-        let global_per_edge = tape.broadcast_rows(input.globals, m);
-        let phi_e_in =
-            tape.concat_cols(&[input.edges, sender_feats, receiver_feats, global_per_edge]);
-        let edges_out = self.phi_e.forward(tape, store, phi_e_in);
-
-        // 2. Aggregate incoming edges per receiver, 3. node update.
-        let agg_in = tape.segment_sum(edges_out, &structure.receivers, n);
-        let global_per_node = tape.broadcast_rows(input.globals, n);
-        let phi_v_in = tape.concat_cols(&[agg_in, input.nodes, global_per_node]);
-        let nodes_out = self.phi_v.forward(tape, store, phi_v_in);
-
-        // 4. Graph-level aggregations, 5. global update.
-        let agg_e = tape.sum_rows(edges_out);
-        let agg_v = tape.sum_rows(nodes_out);
-        let phi_u_in = tape.concat_cols(&[agg_e, agg_v, input.globals]);
-        let globals_out = self.phi_u.forward(tape, store, phi_u_in);
-
-        GraphVars {
-            nodes: nodes_out,
-            edges: edges_out,
-            globals: globals_out,
-        }
+        self.forward_batched(tape, store, &GraphBatch::new(&[structure]), input)
     }
 
     /// One full GN-block pass over a block-diagonal [`GraphBatch`].
@@ -166,9 +124,8 @@ impl GnBlock {
     /// Globals are `G×d_global` (one row per graph); per-edge/per-node
     /// global context is gathered via the batch's segment vectors and
     /// the graph-level pools are segment sums, so each graph's rows see
-    /// exactly the operands (in the same accumulation order) that
-    /// [`GnBlock::forward`] would give them solo — the batched result
-    /// unbatches bit-identically.
+    /// exactly the operands (in the same accumulation order) as in a
+    /// one-graph batch — the batched result unbatches bit-identically.
     ///
     /// # Panics
     ///
@@ -216,8 +173,8 @@ impl GnBlock {
         let nodes_out = self.phi_v.forward(tape, store, phi_v_in);
 
         // 4. Per-graph aggregations, 5. global update. Rows of each
-        // graph are contiguous, so segment_sum accumulates them in the
-        // same order sum_rows would solo.
+        // graph are contiguous, so segment_sum accumulates each graph's
+        // rows in order, whatever else shares the batch.
         let agg_e = tape.segment_sum(edges_out, &batch.edge_segments, batch.num_graphs);
         let agg_v = tape.segment_sum(nodes_out, &batch.node_segments, batch.num_graphs);
         let phi_u_in = tape.concat_cols(&[agg_e, agg_v, input.globals]);
@@ -229,13 +186,91 @@ impl GnBlock {
             globals: globals_out,
         }
     }
+
+    /// No-grad [`GnBlock::forward_batched`] on plain matrices: the same
+    /// operations in the same order, so the outputs are bitwise the
+    /// tape's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feature shapes do not match the configuration or
+    /// the batch.
+    pub fn eval(
+        &self,
+        store: &ParamStore,
+        batch: &GraphBatch,
+        input: &GraphFeatures,
+    ) -> GraphFeatures {
+        let _span = gddr_telemetry::span("gnn.block.forward");
+        let edges = self.edge_update(store, batch, input);
+        let n = batch.structure.num_nodes;
+        let agg_in = edges.segment_sum(&batch.structure.receivers, n);
+        let global_per_node = input.globals.gather_rows(&batch.node_segments);
+        let phi_v_in = Matrix::concat_cols(&[&agg_in, &input.nodes, &global_per_node]);
+        let nodes = self.phi_v.eval(store, &phi_v_in);
+        let agg_e = edges.segment_sum(&batch.edge_segments, batch.num_graphs);
+        let agg_v = nodes.segment_sum(&batch.node_segments, batch.num_graphs);
+        let phi_u_in = Matrix::concat_cols(&[&agg_e, &agg_v, &input.globals]);
+        let globals = self.phi_u.eval(store, &phi_u_in);
+        GraphFeatures {
+            nodes,
+            edges,
+            globals,
+        }
+    }
+
+    /// [`GnBlock::eval`] up to the edge update only: the updated edge
+    /// features, without the node and global updates that read them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feature shapes do not match the configuration or
+    /// the batch.
+    pub(crate) fn eval_edges(
+        &self,
+        store: &ParamStore,
+        batch: &GraphBatch,
+        input: &GraphFeatures,
+    ) -> Matrix {
+        let _span = gddr_telemetry::span("gnn.block.forward");
+        self.edge_update(store, batch, input)
+    }
+
+    /// Step 1 of [`GnBlock::eval`] (shapes checked here).
+    fn edge_update(&self, store: &ParamStore, batch: &GraphBatch, input: &GraphFeatures) -> Matrix {
+        let structure = &batch.structure;
+        assert_eq!(
+            input.nodes.shape(),
+            (structure.num_nodes, self.config.node_in),
+            "node feature shape mismatch"
+        );
+        assert_eq!(
+            input.edges.shape(),
+            (structure.num_edges, self.config.edge_in),
+            "edge feature shape mismatch"
+        );
+        assert_eq!(
+            input.globals.shape(),
+            (batch.num_graphs, self.config.global_in),
+            "global feature shape mismatch"
+        );
+        let sender_feats = input.nodes.gather_rows(&structure.senders);
+        let receiver_feats = input.nodes.gather_rows(&structure.receivers);
+        let global_per_edge = input.globals.gather_rows(&batch.edge_segments);
+        let phi_e_in = Matrix::concat_cols(&[
+            &input.edges,
+            &sender_feats,
+            &receiver_feats,
+            &global_per_edge,
+        ]);
+        self.phi_e.eval(store, &phi_e_in)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gddr_net::topology::zoo;
-    use gddr_nn::Matrix;
     use gddr_rng::rngs::StdRng;
     use gddr_rng::SeedableRng;
 

@@ -38,14 +38,16 @@ impl GraphStructure {
     }
 }
 
-/// Concrete input features for one graph.
+/// Concrete node, edge and global features of one graph or of a
+/// [`GraphBatch`]: network inputs, or the values a tape-free `eval`
+/// passes between layers.
 #[derive(Debug, Clone)]
 pub struct GraphFeatures {
-    /// n×d_node input features.
+    /// n×d_node features.
     pub nodes: Matrix,
-    /// m×d_edge input features.
+    /// m×d_edge features.
     pub edges: Matrix,
-    /// 1×d_global input features.
+    /// 1×d_global features (one row per graph in a batch).
     pub globals: Matrix,
 }
 
@@ -179,7 +181,8 @@ impl EncodeProcessDecode {
         &self.config
     }
 
-    /// Full forward pass on one graph.
+    /// Full forward pass on one graph:
+    /// [`EncodeProcessDecode::forward_batched`] over a one-graph batch.
     ///
     /// # Panics
     ///
@@ -192,48 +195,7 @@ impl EncodeProcessDecode {
         structure: &GraphStructure,
         features: &GraphFeatures,
     ) -> GraphVars {
-        assert_eq!(
-            features.nodes.shape(),
-            (structure.num_nodes, self.config.node_in)
-        );
-        assert_eq!(
-            features.edges.shape(),
-            (structure.num_edges, self.config.edge_in)
-        );
-        assert_eq!(features.globals.shape(), (1, self.config.global_in));
-
-        let node_in = tape.constant(features.nodes.clone());
-        let edge_in = tape.constant(features.edges.clone());
-        let global_in = tape.constant(features.globals.clone());
-
-        let enc = GraphVars {
-            nodes: self.enc_nodes.forward(tape, store, node_in),
-            edges: self.enc_edges.forward(tape, store, edge_in),
-            globals: self.enc_globals.forward(tape, store, global_in),
-        };
-
-        let mut state = enc;
-        for _ in 0..self.config.message_steps {
-            let core_in = GraphVars {
-                nodes: tape.concat_cols(&[enc.nodes, state.nodes]),
-                edges: tape.concat_cols(&[enc.edges, state.edges]),
-                globals: tape.concat_cols(&[enc.globals, state.globals]),
-            };
-            state = self.core.forward(tape, store, structure, core_in);
-            if let Some((ln_n, ln_e, ln_g)) = &self.norms {
-                state = GraphVars {
-                    nodes: ln_n.forward(tape, store, state.nodes),
-                    edges: ln_e.forward(tape, store, state.edges),
-                    globals: ln_g.forward(tape, store, state.globals),
-                };
-            }
-        }
-
-        GraphVars {
-            nodes: self.dec_nodes.forward(tape, store, state.nodes),
-            edges: self.dec_edges.forward(tape, store, state.edges),
-            globals: self.dec_globals.forward(tape, store, state.globals),
-        }
+        self.forward_batched(tape, store, &GraphBatch::new(&[structure]), features)
     }
 
     /// Full forward pass over a block-diagonal [`GraphBatch`] —
@@ -254,18 +216,7 @@ impl EncodeProcessDecode {
         batch: &GraphBatch,
         features: &GraphFeatures,
     ) -> GraphVars {
-        assert_eq!(
-            features.nodes.shape(),
-            (batch.total_nodes(), self.config.node_in)
-        );
-        assert_eq!(
-            features.edges.shape(),
-            (batch.total_edges(), self.config.edge_in)
-        );
-        assert_eq!(
-            features.globals.shape(),
-            (batch.num_graphs, self.config.global_in)
-        );
+        self.check_batch_shapes(batch, features);
 
         let node_in = tape.constant(features.nodes.clone());
         let edge_in = tape.constant(features.edges.clone());
@@ -299,6 +250,69 @@ impl EncodeProcessDecode {
             edges: self.dec_edges.forward(tape, store, state.edges),
             globals: self.dec_globals.forward(tape, store, state.globals),
         }
+    }
+
+    /// No-grad inference: the decoded `total_edges×edge_out` edge
+    /// output of [`EncodeProcessDecode::forward_batched`], bitwise,
+    /// without a tape.
+    ///
+    /// Only what feeds the decoded edges is computed: the last core
+    /// step skips its node and global updates (and their layer norms),
+    /// and the node and global decoders never run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if feature shapes disagree with the configuration or the
+    /// batch.
+    pub fn eval(&self, store: &ParamStore, batch: &GraphBatch, features: &GraphFeatures) -> Matrix {
+        self.check_batch_shapes(batch, features);
+        let enc = GraphFeatures {
+            nodes: self.enc_nodes.eval(store, &features.nodes),
+            edges: self.enc_edges.eval(store, &features.edges),
+            globals: self.enc_globals.eval(store, &features.globals),
+        };
+        // Each core step consumes [encoded ‖ current].
+        let core_in = |cur: &GraphFeatures| GraphFeatures {
+            nodes: Matrix::concat_cols(&[&enc.nodes, &cur.nodes]),
+            edges: Matrix::concat_cols(&[&enc.edges, &cur.edges]),
+            globals: Matrix::concat_cols(&[&enc.globals, &cur.globals]),
+        };
+        let mut state: Option<GraphFeatures> = None;
+        for _ in 1..self.config.message_steps {
+            let mut out = self
+                .core
+                .eval(store, batch, &core_in(state.as_ref().unwrap_or(&enc)));
+            if let Some((ln_n, ln_e, ln_g)) = &self.norms {
+                out = GraphFeatures {
+                    nodes: ln_n.eval(store, &out.nodes),
+                    edges: ln_e.eval(store, &out.edges),
+                    globals: ln_g.eval(store, &out.globals),
+                };
+            }
+            state = Some(out);
+        }
+        let mut edges =
+            self.core
+                .eval_edges(store, batch, &core_in(state.as_ref().unwrap_or(&enc)));
+        if let Some((_, ln_e, _)) = &self.norms {
+            edges = ln_e.eval(store, &edges);
+        }
+        self.dec_edges.eval(store, &edges)
+    }
+
+    fn check_batch_shapes(&self, batch: &GraphBatch, features: &GraphFeatures) {
+        assert_eq!(
+            features.nodes.shape(),
+            (batch.total_nodes(), self.config.node_in)
+        );
+        assert_eq!(
+            features.edges.shape(),
+            (batch.total_edges(), self.config.edge_in)
+        );
+        assert_eq!(
+            features.globals.shape(),
+            (batch.num_graphs, self.config.global_in)
+        );
     }
 }
 

@@ -16,6 +16,11 @@
 //! encoded-input skip connection of the paper's Fig. 5), and an
 //! independent decoder — exactly the paper's policy architecture.
 //!
+//! Both run over a block-diagonal [`GraphBatch`]; a one-graph
+//! `forward` is a one-graph batch. `forward` records on a
+//! [`gddr_nn::Tape`] for training; `eval` is the tape-free inference
+//! pass, bitwise equal to the tape's values.
+//!
 //! # Example
 //!
 //! ```
@@ -43,6 +48,10 @@
 //! let out = net.forward(&mut tape, &store, &structure, &feats);
 //! assert_eq!(tape.value(out.edges).shape(), (structure.num_edges, 1));
 //! assert_eq!(tape.value(out.globals).shape(), (1, 2));
+//!
+//! // Inference without a tape: the decoded edges, bit for bit.
+//! let batch = gddr_gnn::GraphBatch::new(&[&structure]);
+//! assert_eq!(&net.eval(&store, &batch, &feats), tape.value(out.edges));
 //! ```
 
 pub mod batch;

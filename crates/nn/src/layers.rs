@@ -3,10 +3,17 @@
 //! The paper implements every learned function — the MLP baseline policy
 //! and all six graph-network update/pooling functions — as multilayer
 //! perceptrons; these two types cover all of them.
+//!
+//! Every layer has two passes. `forward` records on a [`Tape`] for
+//! training. `eval` is the no-grad pass for inference: it works on plain
+//! [`Matrix`] values and reads parameters by reference, but does each
+//! element's arithmetic in the same order as the tape ops, so its
+//! output is bitwise the tape's.
 
 use gddr_rng::Rng;
 
 use crate::init;
+use crate::matrix::Matrix;
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
 
@@ -28,6 +35,18 @@ impl Activation {
             Activation::Relu => tape.relu(x),
             Activation::Tanh => tape.tanh(x),
             Activation::Linear => x,
+        }
+    }
+
+    /// Applies the activation in place, as [`Activation::apply`] would.
+    pub(crate) fn eval(self, x: &mut Matrix) {
+        let f: fn(f64) -> f64 = match self {
+            Activation::Relu => |v| v.max(0.0),
+            Activation::Tanh => f64::tanh,
+            Activation::Linear => return,
+        };
+        for v in x.as_mut_slice() {
+            *v = f(*v);
         }
     }
 }
@@ -79,6 +98,13 @@ impl Linear {
         let b = tape.param(store, self.bias);
         let xw = tape.matmul(x, w);
         tape.add_row_broadcast(xw, b)
+    }
+
+    /// No-grad [`Linear::forward`].
+    pub fn eval(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let mut y = x.matmul(store.value(self.weight));
+        y.add_row_assign(store.value(self.bias));
+        y
     }
 }
 
@@ -160,6 +186,22 @@ impl Mlp {
         }
         h
     }
+
+    /// No-grad [`Mlp::forward`].
+    pub fn eval(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let last = self.layers.len() - 1;
+        let mut h: Option<Matrix> = None;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let mut y = layer.eval(store, h.as_ref().unwrap_or(x));
+            if i == last {
+                self.output_activation.eval(&mut y);
+            } else {
+                self.activation.eval(&mut y);
+            }
+            h = Some(y);
+        }
+        h.expect("MLP has layers")
+    }
 }
 
 /// Layer normalisation over feature columns with learned gain and
@@ -225,6 +267,34 @@ impl LayerNorm {
         let scaled = tape.mul(normed, gb);
         let b = tape.param(store, self.bias);
         tape.add_row_broadcast(scaled, b)
+    }
+
+    /// No-grad [`LayerNorm::forward`]: the same per-element operations,
+    /// fused into one pass per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input width differs from `dim`.
+    pub fn eval(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let (n, d) = x.shape();
+        assert_eq!(d, self.dim, "layer-norm width mismatch");
+        let inv_d = 1.0 / d as f64;
+        let gain = store.value(self.gain).row(0);
+        let bias = store.value(self.bias).row(0);
+        let mut out = Matrix::zeros(n, d);
+        for r in 0..n {
+            let mean = x.row(r).iter().sum::<f64>() * inv_d;
+            let y = out.row_mut(r);
+            for (o, &v) in y.iter_mut().zip(x.row(r)) {
+                *o = v - mean;
+            }
+            let var = y.iter().map(|&c| c * c).sum::<f64>() * inv_d;
+            let rstd = ((var + self.eps).ln() * -0.5).exp();
+            for ((o, &g), &b) in y.iter_mut().zip(gain).zip(bias) {
+                *o = *o * rstd * g + b;
+            }
+        }
+        out
     }
 }
 
@@ -366,6 +436,46 @@ mod tests {
                     "grad mismatch at ({r},{c}): {} vs {numeric}",
                     analytic.get(r, c)
                 );
+            }
+        }
+    }
+
+    /// `eval` must reproduce the tape's values bit for bit.
+    #[test]
+    fn eval_matches_forward_bitwise() {
+        use gddr_rng::Rng;
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mlp = Mlp::new(&mut store, "m", &[5, 9, 3], Activation::Relu, &mut rng);
+        let tanh = Mlp::with_output_activation(
+            &mut store,
+            "t",
+            &[5, 4, 5],
+            Activation::Tanh,
+            Activation::Tanh,
+            &mut rng,
+        );
+        let ln = LayerNorm::new(&mut store, "ln", 5);
+        // Non-trivial gain and bias so the affine step is exercised.
+        let ids: Vec<ParamId> = store.iter().map(|(id, _, _)| id).collect();
+        for id in ids {
+            for v in store.value_mut(id).as_mut_slice() {
+                *v += rng.gen_range(-0.5..0.5);
+            }
+        }
+        for rows in [1, 4, 13] {
+            let x = Matrix::from_fn(rows, 5, |_, _| rng.gen_range(-2.0..2.0));
+            let mut tape = Tape::new();
+            let xv = tape.constant(x.clone());
+            let cases: [(Var, Matrix); 3] = [
+                (mlp.forward(&mut tape, &store, xv), mlp.eval(&store, &x)),
+                (tanh.forward(&mut tape, &store, xv), tanh.eval(&store, &x)),
+                (ln.forward(&mut tape, &store, xv), ln.eval(&store, &x)),
+            ];
+            for (i, (var, eager)) in cases.iter().enumerate() {
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(tape.value(*var)), bits(eager), "case {i}, {rows} rows");
             }
         }
     }

@@ -316,6 +316,61 @@ impl Matrix {
         )
     }
 
+    /// Row lookup: `out[i] = self[indices[i]]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
+        assert!(
+            indices.iter().all(|&i| i < self.rows),
+            "gather index out of range"
+        );
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &i in indices {
+            data.extend_from_slice(self.row(i));
+        }
+        Matrix::from_vec(indices.len(), self.cols, data)
+    }
+
+    /// Unsorted segment sum: row `r` is added into output row
+    /// `segments[r]`, rows accumulating in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `segments.len() != rows` or a segment id is out of
+    /// range.
+    pub fn segment_sum(&self, segments: &[usize], num_segments: usize) -> Matrix {
+        assert_eq!(segments.len(), self.rows, "one segment id per row");
+        assert!(
+            segments.iter().all(|&s| s < num_segments),
+            "segment id out of range"
+        );
+        let mut out = Matrix::zeros(num_segments, self.cols);
+        for (r, &s) in segments.iter().enumerate() {
+            for (o, &x) in out.row_mut(s).iter_mut().zip(self.row(r)) {
+                *o += x;
+            }
+        }
+        out
+    }
+
+    /// Adds the 1×cols row vector `row` to every row, in place (bias
+    /// add).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not a 1×cols row vector.
+    pub fn add_row_assign(&mut self, row: &Matrix) {
+        assert_eq!(row.rows, 1, "broadcast operand must be a row vector");
+        assert_eq!(self.cols, row.cols, "widths must match for broadcast");
+        for r in 0..self.rows {
+            for (o, &b) in self.row_mut(r).iter_mut().zip(&row.data) {
+                *o += b;
+            }
+        }
+    }
+
     /// Whether all entries are finite.
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())

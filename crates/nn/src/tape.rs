@@ -37,7 +37,6 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     RowSum(Var),
-    SumRows(Var),
     ConcatCols(Vec<Var>),
     GatherRows(Var, Vec<usize>),
     SegmentSum(Var, Vec<usize>),
@@ -146,17 +145,8 @@ impl Tape {
     ///
     /// Panics if `row` is not 1×d or widths mismatch.
     pub fn add_row_broadcast(&mut self, x: Var, row: Var) -> Var {
-        let xm = self.value(x);
-        let rm = self.value(row);
-        assert_eq!(rm.rows(), 1, "broadcast operand must be a row vector");
-        assert_eq!(xm.cols(), rm.cols(), "widths must match for broadcast");
-        let mut out = xm.clone();
-        for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                let v = out.get(r, c) + rm.get(0, c);
-                out.set(r, c, v);
-            }
-        }
+        let mut out = self.value(x).clone();
+        out.add_row_assign(self.value(row));
         let ng = self.needs(x) || self.needs(row);
         self.push(Op::AddRowBroadcast(x, row), out, ng)
     }
@@ -254,20 +244,6 @@ impl Tape {
         self.push(Op::RowSum(a), value, ng)
     }
 
-    /// Sum over rows: n×d → 1×d.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        let am = self.value(a);
-        let mut value = Matrix::zeros(1, am.cols());
-        for r in 0..am.rows() {
-            for c in 0..am.cols() {
-                let v = value.get(0, c) + am.get(r, c);
-                value.set(0, c, v);
-            }
-        }
-        let ng = self.needs(a);
-        self.push(Op::SumRows(a), value, ng)
-    }
-
     /// Horizontal concatenation of equal-row-count variables.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
         let mats: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
@@ -282,12 +258,7 @@ impl Tape {
     ///
     /// Panics if any index is out of range.
     pub fn gather_rows(&mut self, x: Var, indices: &[usize]) -> Var {
-        let xm = self.value(x);
-        assert!(
-            indices.iter().all(|&i| i < xm.rows()),
-            "gather index out of range"
-        );
-        let value = Matrix::from_fn(indices.len(), xm.cols(), |r, c| xm.get(indices[r], c));
+        let value = self.value(x).gather_rows(indices);
         let ng = self.needs(x);
         self.push(Op::GatherRows(x, indices.to_vec()), value, ng)
     }
@@ -301,19 +272,7 @@ impl Tape {
     /// Panics if `segments.len() != x.rows()` or a segment id is out of
     /// range.
     pub fn segment_sum(&mut self, x: Var, segments: &[usize], num_segments: usize) -> Var {
-        let xm = self.value(x);
-        assert_eq!(segments.len(), xm.rows(), "one segment id per row");
-        assert!(
-            segments.iter().all(|&s| s < num_segments),
-            "segment id out of range"
-        );
-        let mut value = Matrix::zeros(num_segments, xm.cols());
-        for (r, &s) in segments.iter().enumerate() {
-            for c in 0..xm.cols() {
-                let v = value.get(s, c) + xm.get(r, c);
-                value.set(s, c, v);
-            }
-        }
+        let value = self.value(x).segment_sum(segments, num_segments);
         let ng = self.needs(x);
         self.push(Op::SegmentSum(x, segments.to_vec()), value, ng)
     }
@@ -512,11 +471,6 @@ impl Tape {
                 Op::RowSum(a) => {
                     let am = self.value(*a);
                     let delta = Matrix::from_fn(am.rows(), am.cols(), |r, _| g.get(r, 0));
-                    add_grad(&mut grads, *a, delta);
-                }
-                Op::SumRows(a) => {
-                    let am = self.value(*a);
-                    let delta = Matrix::from_fn(am.rows(), am.cols(), |_, c| g.get(0, c));
                     add_grad(&mut grads, *a, delta);
                 }
                 Op::ConcatCols(parts) => {
@@ -739,8 +693,7 @@ mod tests {
                 let c = t.concat_cols(&[x, x]);
                 let sl = t.slice_cols(c, 1, 3);
                 let rs = t.row_sum(sl);
-                let sr = t.sum_rows(rs);
-                t.sum_all(sr)
+                t.sum_all(rs)
             },
             &mut s,
             id,

@@ -6,11 +6,12 @@
 //! underspecified (see DESIGN.md), so this module provides:
 //!
 //! - [`distance_dag`] (default): keep edge `(u, v)` iff the weighted
-//!   distance-to-sink strictly decreases, `d(u) > d(v)`. Guarantees
-//!   acyclicity and that every node that can reach the sink keeps a
-//!   path to it (its shortest-path out-edge is always downhill), while
-//!   retaining every non-shortest "downhill" edge for multipath — the
-//!   properties Alg. 3 is designed to provide.
+//!   distance-to-sink strictly decreases, `d(u) > d(v) + 1e-12`.
+//!   Guarantees acyclicity and that every node that can reach the sink
+//!   keeps a path to it (its shortest-path out-edge is downhill, or is
+//!   kept anyway when a near-zero weight leaves the node no downhill
+//!   edge), while retaining every non-shortest "downhill" edge for
+//!   multipath — the properties Alg. 3 is designed to provide.
 //! - [`frontier_meets_dag`]: a faithful best-effort implementation of
 //!   Alg. 3's construction (Dijkstra from the source, parent traceback,
 //!   frontier-meet repair), validated and falling back to
@@ -30,7 +31,8 @@ pub enum PruneMode {
 }
 
 /// Edge mask keeping exactly the edges on which the weighted distance
-/// to `sink` strictly decreases.
+/// to `sink` strictly decreases (by more than 1e-12), plus, for a node
+/// left with no such out-edge, its shortest-path edge.
 ///
 /// Only depends on the destination, so the result is shared by all
 /// sources routing towards `sink`.
@@ -40,14 +42,28 @@ pub enum PruneMode {
 /// Panics if `weights` does not cover every edge (see
 /// [`dijkstra_to_sink`]).
 pub fn distance_dag(graph: &Graph, sink: NodeId, weights: &[f64]) -> Vec<bool> {
-    let d = dijkstra_to_sink(graph, sink, weights).dist;
-    graph
+    let sp = dijkstra_to_sink(graph, sink, weights);
+    let d = &sp.dist;
+    let mut mask: Vec<bool> = graph
         .edges()
         .map(|e| {
             let (u, v) = graph.endpoints(e);
             d[u.0].is_finite() && d[v.0].is_finite() && d[u.0] > d[v.0] + 1e-12
         })
-        .collect()
+        .collect();
+    // A shortest-path edge no heavier than the 1e-12 epsilon fails the
+    // descent test. Where that leaves a vertex with no kept out-edge,
+    // keep its shortest-path edge, or flow entering it would be lost.
+    // Shortest-path edges point at vertices Dijkstra settled earlier,
+    // so the mask stays acyclic.
+    for u in graph.nodes() {
+        if let Some(e) = sp.via[u.0] {
+            if !graph.out_edges(u).iter().any(|o| mask[o.0]) {
+                mask[e.0] = true;
+            }
+        }
+    }
+    mask
 }
 
 /// The paper's Alg. 3: Dijkstra from `source`, trace the shortest path
@@ -343,6 +359,26 @@ mod tests {
         assert!(mask[e_bc.0]);
         // Reverse edges all dropped.
         assert_eq!(mask.iter().filter(|&&m| m).count(), 3);
+    }
+
+    #[test]
+    fn near_zero_weight_cannot_strand_a_node() {
+        // Path 0 – 1 – 2 with sink 2. The only way out of node 0 weighs
+        // 5e-13, below the 1e-12 descent epsilon, so the descent test
+        // alone drops it and traffic from 0 would be lost; the node's
+        // shortest-path edge is kept instead.
+        let g = gddr_net::topology::from_links("path", 3, &[(0, 1), (1, 2)], 10.0);
+        let mut w = vec![1.0; g.num_edges()];
+        let e01 = g.edge_between(NodeId(0), NodeId(1)).unwrap();
+        w[e01.0] = 5e-13;
+        let mask = distance_dag(&g, NodeId(2), &w);
+        assert!(mask[e01.0], "node 0 lost its only way to the sink");
+        assert!(is_dag(&g, &mask));
+        for s in 0..2 {
+            assert!(mask_is_usable(&g, NodeId(s), NodeId(2), &mask));
+        }
+        // Nothing else is added: the reverse edges stay dropped.
+        assert_eq!(mask.iter().filter(|&&m| m).count(), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One CI smoke leg, runnable locally too:
 #
-#   tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|lp>
+#   tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|micro>
 #
 # Every leg assumes the release build already exists (CI restores it
 # from the shared cache; locally run `cargo build --release --offline`
@@ -10,7 +10,7 @@
 
 set -euo pipefail
 
-LEG="${1:?usage: tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|lp>}"
+LEG="${1:?usage: tools/ci_smoke.sh <telemetry|resume|fuzz|robustness|chaos|serve_load|trace|failover|scenario|recovery|micro>}"
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 ART="$ROOT/ci_artifacts"
 mkdir -p "$ART"
@@ -138,20 +138,26 @@ case "$LEG" in
       --out "$ART/snapshot_fuzz_report.json" \
       --replay-out "$ART/snapshot_fuzz_counterexample.json"
     ;;
-  lp)
-    # LP oracle micro-benches — cold solve per topology, cache hit, and
-    # a 24-matrix diurnal day re-solved from one reference basis — gated
-    # against the committed results/BENCH_lp_*.json baselines. The bench
-    # writes into results/, so the baselines are set aside first (and
-    # put back even if the bench fails), the fresh artifacts move to
-    # $ART/lp, and the gate compares the two.
-    mkdir -p "$ART/lp" "$ART/lp_baselines"
-    cp results/BENCH_lp_*.json "$ART/lp_baselines/"
-    trap 'cp "$ART"/lp_baselines/BENCH_lp_*.json results/' EXIT
-    cargo bench --offline -p gddr-bench --bench bench_lp
-    mv results/BENCH_lp_*.json "$ART/lp/"
-    cp "$ART"/lp_baselines/BENCH_lp_*.json results/
-    bash tools/check_bench.sh "$ART/lp" "${BENCH_TOLERANCE_PCT:-50}"
+  micro)
+    # Micro-bench baselines, gated against the committed
+    # results/BENCH_*.json: the LP oracle (cold solve per topology,
+    # cache hit, a 24-matrix diurnal day re-solved from one reference
+    # basis), softmin routing (zoo graphs and the 100- and 400-node
+    # WANs) and the GNN (tape forward/backward, greedy batched
+    # inference on the tape and tape-free). The benches write into
+    # results/, so the baselines are set aside first (and put back even
+    # if a bench fails), the fresh artifacts move to $ART/micro, and
+    # the gate compares the two.
+    BASELINES=(results/BENCH_lp_*.json results/BENCH_softmin_routing.json results/BENCH_gnn_epd.json)
+    mkdir -p "$ART/micro" "$ART/micro_baselines"
+    cp "${BASELINES[@]}" "$ART/micro_baselines/"
+    trap 'cp "$ART"/micro_baselines/BENCH_*.json results/' EXIT
+    for bench in bench_lp bench_softmin bench_gnn; do
+      cargo bench --offline -p gddr-bench --bench "$bench"
+    done
+    mv "${BASELINES[@]}" "$ART/micro/"
+    cp "$ART"/micro_baselines/BENCH_*.json results/
+    bash tools/check_bench.sh "$ART/micro" "${BENCH_TOLERANCE_PCT:-50}"
     ;;
   *)
     echo "unknown smoke leg '$LEG'" >&2
