@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use gddr_ser::{Json, ToJson};
+use gddr_ser::{json_struct, Json, ToJson};
 
 /// Lower bound on the duration of one timed sample; faster closures
 /// are batched until a sample takes at least this long.
@@ -26,36 +26,24 @@ const MIN_SAMPLE_NANOS: u128 = 1_000_000;
 /// Warmup runs before calibration (also primes caches/allocators).
 const WARMUP_ITERS: usize = 3;
 
-/// Per-iteration timing summary for one benchmark case.
-#[derive(Debug, Clone)]
-pub struct Stats {
-    /// Case label within the group.
-    pub name: String,
-    /// Number of timed samples taken.
-    pub samples: usize,
-    /// Iterations batched into each sample.
-    pub iters_per_sample: usize,
-    /// Fastest observed per-iteration time (ns).
-    pub min_ns: f64,
-    /// Mean per-iteration time (ns).
-    pub mean_ns: f64,
-    /// Median per-iteration time (ns).
-    pub median_ns: f64,
-    /// 95th-percentile per-iteration time (ns).
-    pub p95_ns: f64,
-}
-
-impl ToJson for Stats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", self.name.to_json()),
-            ("samples", self.samples.to_json()),
-            ("iters_per_sample", self.iters_per_sample.to_json()),
-            ("min_ns", self.min_ns.to_json()),
-            ("mean_ns", self.mean_ns.to_json()),
-            ("median_ns", self.median_ns.to_json()),
-            ("p95_ns", self.p95_ns.to_json()),
-        ])
+json_struct! {
+    /// Per-iteration timing summary for one benchmark case.
+    #[derive(Debug, Clone)]
+    pub struct Stats {
+        /// Case label within the group.
+        pub name: String,
+        /// Number of timed samples taken.
+        pub samples: usize,
+        /// Iterations batched into each sample.
+        pub iters_per_sample: usize,
+        /// Fastest observed per-iteration time (ns).
+        pub min_ns: f64,
+        /// Mean per-iteration time (ns).
+        pub mean_ns: f64,
+        /// Median per-iteration time (ns).
+        pub median_ns: f64,
+        /// 95th-percentile per-iteration time (ns).
+        pub p95_ns: f64,
     }
 }
 

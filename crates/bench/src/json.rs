@@ -21,27 +21,16 @@ pub fn to_json<T: ToJson>(value: &T) -> Result<String, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gddr_ser::{Json, ToJson};
+    use gddr_ser::json_struct;
 
-    struct Sample {
-        name: String,
-        values: Vec<f64>,
-        pair: (usize, f64),
-        flag: bool,
-        missing: Option<u32>,
-        present: Option<u32>,
-    }
-
-    impl ToJson for Sample {
-        fn to_json(&self) -> Json {
-            Json::obj([
-                ("name", self.name.to_json()),
-                ("values", self.values.to_json()),
-                ("pair", self.pair.to_json()),
-                ("flag", self.flag.to_json()),
-                ("missing", self.missing.to_json()),
-                ("present", self.present.to_json()),
-            ])
+    json_struct! {
+        struct Sample {
+            name: String,
+            values: Vec<f64>,
+            pair: (usize, f64),
+            flag: bool,
+            missing: Option<u32>,
+            present: Option<u32>,
         }
     }
 

@@ -18,7 +18,7 @@ use gddr_rng::rngs::StdRng;
 use gddr_rng::{Rng, SeedableRng};
 use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::{softmin_routing, SoftminConfig};
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, FromJson, Json, JsonError, ToJson};
 use gddr_traffic::DemandMatrix;
 
 use crate::diff::{brute_force_lp, path_enumeration_loads};
@@ -26,49 +26,17 @@ use crate::gradcheck;
 use crate::invariants::{check_graph, check_routing, check_utilisation_bound};
 use crate::lp_cert::{check_certificate, DEFAULT_TOL};
 
-/// One reproducible fuzz input: a target name, the PRNG seed and a
-/// structural size knob the shrinker minimises.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzCase {
-    /// Which property to exercise — see [`all_targets`].
-    pub target: String,
-    /// Seed for every random draw the case makes.
-    pub seed: u64,
-    /// Structural size (graph nodes, LP rows, mutation count, …).
-    pub size: u64,
-}
-
-impl ToJson for FuzzCase {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("target", Json::Str(self.target.clone())),
-            ("seed", Json::Num(self.seed as f64)),
-            ("size", Json::Num(self.size as f64)),
-        ])
-    }
-}
-
-impl FromJson for FuzzCase {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let str_field = |key: &str| -> Result<String, JsonError> {
-            match json.field(key)? {
-                Json::Str(s) => Ok(s.clone()),
-                other => Err(JsonError(format!("{key}: expected string, got {other:?}"))),
-            }
-        };
-        let num_field = |key: &str| -> Result<u64, JsonError> {
-            match json.field(key)? {
-                Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Ok(*v as u64),
-                other => Err(JsonError(format!(
-                    "{key}: expected a non-negative integer, got {other:?}"
-                ))),
-            }
-        };
-        Ok(FuzzCase {
-            target: str_field("target")?,
-            seed: num_field("seed")?,
-            size: num_field("size")?,
-        })
+json_struct! {
+    /// One reproducible fuzz input: a target name, the PRNG seed and a
+    /// structural size knob the shrinker minimises.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FuzzCase {
+        /// Which property to exercise — see [`all_targets`].
+        pub target: String,
+        /// Seed for every random draw the case makes.
+        pub seed: u64,
+        /// Structural size (graph nodes, LP rows, mutation count, …).
+        pub size: u64,
     }
 }
 
@@ -772,12 +740,14 @@ fn target_serve_request(seed: u64, size: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Round-trips randomly generated observability events — trace spans,
-/// trace annotations, SLO alerts — through the JSONL telemetry codec
-/// with hostile attribute strings (quotes, backslashes, newlines,
-/// NULs, multi-byte scalars), then feeds a mutated line back through
-/// the parser, which must reject it with a typed error, never a panic
-/// and never a silent accept.
+/// Round-trips generated telemetry events through the JSONL codec:
+/// one event of every kind in [`gddr_telemetry::Event::SCHEMA`], plus
+/// random extras, with hostile text (quotes, backslashes, newlines,
+/// NULs, multi-byte scalars) in every string field and attribute.
+/// Each line is built field by field from the schema, so decoding and
+/// re-encoding it must reproduce it byte for byte. Then a mutated line
+/// goes back through the parser, which must reject it with a typed
+/// error, never a panic and never a silent accept.
 fn target_telemetry_events(seed: u64, size: u64) -> Result<(), String> {
     use gddr_telemetry::{parse_jsonl, Event};
     let mut rng = StdRng::seed_from_u64(seed);
@@ -795,52 +765,49 @@ fn target_telemetry_events(seed: u64, size: u64) -> Result<(), String> {
         ];
         POOL[(rng.next_u64() as usize) % POOL.len()].to_string()
     };
-    let count = 1 + (size as usize % 24);
-    let mut events = Vec::with_capacity(count);
-    for i in 0..count as u64 {
-        let attrs: Vec<(String, String)> = (0..rng.next_u64() % 4)
-            .map(|k| (format!("k{k}"), hostile(&mut rng)))
-            .collect();
-        events.push(match rng.next_u64() % 3 {
-            0 => Event::TraceSpan {
-                trace_id: 1 + rng.next_u64() % 1000,
-                shard: rng.next_u64() % 16,
-                name: hostile(&mut rng),
-                start_us: rng.next_u64() % 1_000_000,
-                dur_ns: rng.next_u64() % 1_000_000_000,
-                attrs,
-            },
-            1 => Event::TraceAnnotation {
-                trace_id: 1 + rng.next_u64() % 1000,
-                shard: rng.next_u64() % 16,
-                name: hostile(&mut rng),
-                at_us: rng.next_u64() % 1_000_000,
-                attrs,
-            },
-            _ => Event::SloAlert {
-                shard: rng.next_u64() % 16,
-                metric: hostile(&mut rng),
-                burn_rate: rng.gen_range(0.0..64.0),
-                threshold: 4.0,
-                window: 1 + rng.next_u64() % 256,
-                epoch: i,
-            },
-        });
+    let kinds = Event::SCHEMA.len();
+    let mut text = String::new();
+    for i in 0..kinds + (size as usize % 24) {
+        let pick = if i < kinds {
+            i
+        } else {
+            rng.next_u64() as usize % kinds
+        };
+        let (kind, fields) = Event::SCHEMA[pick];
+        let mut object = vec![("type".to_string(), Json::Str(kind.to_string()))];
+        for &(field, ty) in fields {
+            let value = match ty {
+                "String" => Json::Str(hostile(&mut rng)),
+                "Option<String>" if rng.next_u64() % 2 == 0 => Json::Null,
+                "Option<String>" => Json::Str(hostile(&mut rng)),
+                "u64" => Json::Num((rng.next_u64() % ((1 << 53) + 1)) as f64),
+                "f64" => Json::Num(
+                    rng.gen_range(-1.0..1.0) * 10f64.powi((rng.next_u64() % 600) as i32 - 300),
+                ),
+                "bool" => Json::Bool(rng.next_u64() % 2 == 0),
+                "Vec<(String, String)> as named" => Json::Obj(
+                    (0..rng.next_u64() % 4)
+                        .map(|_| (hostile(&mut rng), Json::Str(hostile(&mut rng))))
+                        .collect(),
+                ),
+                other => return fail(format!("{kind}.{field}: no generator for type {other}")),
+            };
+            object.push((field.to_string(), value));
+        }
+        text.push_str(&Json::Obj(object).to_string());
+        text.push('\n');
     }
-    let text: String = events
-        .iter()
-        .map(|e| e.to_json().to_string() + "\n")
-        .collect();
-    let back = parse_jsonl(&text).map_err(|e| format!("round-trip parse failed: {e}"))?;
-    if back != events {
-        return fail("parsed events disagree with the originals".to_string());
-    }
-    let again: String = back
+    let events = parse_jsonl(&text).map_err(|e| format!("generated stream rejected: {e}"))?;
+    let again: String = events
         .iter()
         .map(|e| e.to_json().to_string() + "\n")
         .collect();
     if again != text {
         return fail("re-serialisation is not byte-stable".to_string());
+    }
+    let back = parse_jsonl(&again).map_err(|e| format!("round-trip parse failed: {e}"))?;
+    if back != events {
+        return fail("parsed events disagree with the originals".to_string());
     }
 
     // Adversarial half: truncating a line, renaming the type tag, or

@@ -11,7 +11,7 @@ use gddr_rl::Policy;
 use gddr_routing::baselines::{ecmp_routing, shortest_path_routing};
 use gddr_routing::softmin::{softmin_routing, SoftminConfig};
 use gddr_routing::Routing;
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::json_struct;
 use gddr_traffic::DemandMatrix;
 
 use crate::env::{DdrEnvConfig, GraphContext};
@@ -19,35 +19,17 @@ use crate::env_iterative::IterativeDdrEnv;
 use crate::error::CoreError;
 use crate::obs::{flat_features, node_features, DdrObs, DemandHistory};
 
-/// Summary statistics of utilisation ratios across evaluated demand
-/// matrices (1.0 = optimal; lower is better).
-#[derive(Debug, Clone)]
-pub struct EvalResult {
-    /// Mean ratio (the bar height).
-    pub mean_ratio: f64,
-    /// Standard deviation of the ratios.
-    pub std_ratio: f64,
-    /// Every individual ratio.
-    pub ratios: Vec<f64>,
-}
-
-impl ToJson for EvalResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("mean_ratio", self.mean_ratio.to_json()),
-            ("std_ratio", self.std_ratio.to_json()),
-            ("ratios", self.ratios.to_json()),
-        ])
-    }
-}
-
-impl FromJson for EvalResult {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(EvalResult {
-            mean_ratio: FromJson::from_json(json.field("mean_ratio")?)?,
-            std_ratio: FromJson::from_json(json.field("std_ratio")?)?,
-            ratios: FromJson::from_json(json.field("ratios")?)?,
-        })
+json_struct! {
+    /// Summary statistics of utilisation ratios across evaluated demand
+    /// matrices (1.0 = optimal; lower is better).
+    #[derive(Debug, Clone)]
+    pub struct EvalResult {
+        /// Mean ratio (the bar height).
+        pub mean_ratio: f64,
+        /// Standard deviation of the ratios.
+        pub std_ratio: f64,
+        /// Every individual ratio.
+        pub ratios: Vec<f64>,
     }
 }
 

@@ -11,7 +11,7 @@
 
 use gddr_rng::rngs::StdRng;
 use gddr_rng::SeedableRng;
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::json_struct;
 
 use gddr_net::topology::{mutate, zoo};
 use gddr_net::Graph;
@@ -96,63 +96,30 @@ impl Default for FixedGraphConfig {
     }
 }
 
-/// A trained agent's evaluation plus its learning curve.
-#[derive(Debug, Clone)]
-pub struct PolicyOutcome {
-    /// Held-out mean ratio and spread (Fig. 6 bar).
-    pub eval: EvalResult,
-    /// Per-episode rewards during training (Fig. 7 curve).
-    pub log: TrainingLog,
-}
-
-impl ToJson for PolicyOutcome {
-    fn to_json(&self) -> Json {
-        Json::obj([("eval", self.eval.to_json()), ("log", self.log.to_json())])
+json_struct! {
+    /// A trained agent's evaluation plus its learning curve.
+    #[derive(Debug, Clone)]
+    pub struct PolicyOutcome {
+        /// Held-out mean ratio and spread (Fig. 6 bar).
+        pub eval: EvalResult,
+        /// Per-episode rewards during training (Fig. 7 curve).
+        pub log: TrainingLog,
     }
 }
 
-impl FromJson for PolicyOutcome {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(PolicyOutcome {
-            eval: FromJson::from_json(json.field("eval")?)?,
-            log: FromJson::from_json(json.field("log")?)?,
-        })
-    }
-}
-
-/// Result of the fixed-graph experiment.
-#[derive(Debug, Clone)]
-pub struct FixedGraphResult {
-    /// The MLP baseline agent (Valadarsky et al.).
-    pub mlp: PolicyOutcome,
-    /// The GNN agent.
-    pub gnn: PolicyOutcome,
-    /// Shortest-path routing ratio (the dotted line).
-    pub shortest_path: EvalResult,
-    /// Predict-then-route baseline (§II-A): LP-optimal routing for the
-    /// history-averaged prediction, applied to the real demands.
-    pub prediction: EvalResult,
-}
-
-impl ToJson for FixedGraphResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("mlp", self.mlp.to_json()),
-            ("gnn", self.gnn.to_json()),
-            ("shortest_path", self.shortest_path.to_json()),
-            ("prediction", self.prediction.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FixedGraphResult {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(FixedGraphResult {
-            mlp: FromJson::from_json(json.field("mlp")?)?,
-            gnn: FromJson::from_json(json.field("gnn")?)?,
-            shortest_path: FromJson::from_json(json.field("shortest_path")?)?,
-            prediction: FromJson::from_json(json.field("prediction")?)?,
-        })
+json_struct! {
+    /// Result of the fixed-graph experiment.
+    #[derive(Debug, Clone)]
+    pub struct FixedGraphResult {
+        /// The MLP baseline agent (Valadarsky et al.).
+        pub mlp: PolicyOutcome,
+        /// The GNN agent.
+        pub gnn: PolicyOutcome,
+        /// Shortest-path routing ratio (the dotted line).
+        pub shortest_path: EvalResult,
+        /// Predict-then-route baseline (§II-A): LP-optimal routing for the
+        /// history-averaged prediction, applied to the real demands.
+        pub prediction: EvalResult,
     }
 }
 
@@ -301,73 +268,33 @@ impl Default for GeneralisationConfig {
     }
 }
 
-/// Evaluation of one policy on one test family.
-#[derive(Debug, Clone)]
-pub struct FamilyEval {
-    /// Mean ratio across all graphs and demand matrices in the family.
-    pub policy: EvalResult,
-    /// Shortest-path baseline on the same family.
-    pub shortest_path: EvalResult,
-}
-
-impl ToJson for FamilyEval {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("policy", self.policy.to_json()),
-            ("shortest_path", self.shortest_path.to_json()),
-        ])
+json_struct! {
+    /// Evaluation of one policy on one test family.
+    #[derive(Debug, Clone)]
+    pub struct FamilyEval {
+        /// Mean ratio across all graphs and demand matrices in the family.
+        pub policy: EvalResult,
+        /// Shortest-path baseline on the same family.
+        pub shortest_path: EvalResult,
     }
 }
 
-impl FromJson for FamilyEval {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(FamilyEval {
-            policy: FromJson::from_json(json.field("policy")?)?,
-            shortest_path: FromJson::from_json(json.field("shortest_path")?)?,
-        })
-    }
-}
-
-/// Result of the generalisation experiment.
-#[derive(Debug, Clone)]
-pub struct GeneralisationResult {
-    /// One-shot GNN on unseen different graphs.
-    pub gnn_different: FamilyEval,
-    /// One-shot GNN on modified Abilene.
-    pub gnn_modified: FamilyEval,
-    /// Iterative GNN on unseen different graphs.
-    pub iterative_different: FamilyEval,
-    /// Iterative GNN on modified Abilene.
-    pub iterative_modified: FamilyEval,
-    /// Training curves (gnn, iterative).
-    pub gnn_log: TrainingLog,
-    /// Iterative policy training curve.
-    pub iterative_log: TrainingLog,
-}
-
-impl ToJson for GeneralisationResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("gnn_different", self.gnn_different.to_json()),
-            ("gnn_modified", self.gnn_modified.to_json()),
-            ("iterative_different", self.iterative_different.to_json()),
-            ("iterative_modified", self.iterative_modified.to_json()),
-            ("gnn_log", self.gnn_log.to_json()),
-            ("iterative_log", self.iterative_log.to_json()),
-        ])
-    }
-}
-
-impl FromJson for GeneralisationResult {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(GeneralisationResult {
-            gnn_different: FromJson::from_json(json.field("gnn_different")?)?,
-            gnn_modified: FromJson::from_json(json.field("gnn_modified")?)?,
-            iterative_different: FromJson::from_json(json.field("iterative_different")?)?,
-            iterative_modified: FromJson::from_json(json.field("iterative_modified")?)?,
-            gnn_log: FromJson::from_json(json.field("gnn_log")?)?,
-            iterative_log: FromJson::from_json(json.field("iterative_log")?)?,
-        })
+json_struct! {
+    /// Result of the generalisation experiment.
+    #[derive(Debug, Clone)]
+    pub struct GeneralisationResult {
+        /// One-shot GNN on unseen different graphs.
+        pub gnn_different: FamilyEval,
+        /// One-shot GNN on modified Abilene.
+        pub gnn_modified: FamilyEval,
+        /// Iterative GNN on unseen different graphs.
+        pub iterative_different: FamilyEval,
+        /// Iterative GNN on modified Abilene.
+        pub iterative_modified: FamilyEval,
+        /// Training curves (gnn, iterative).
+        pub gnn_log: TrainingLog,
+        /// Iterative policy training curve.
+        pub iterative_log: TrainingLog,
     }
 }
 

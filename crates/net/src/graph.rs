@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, FromJson, Json, JsonError, ToJson};
 
 /// Identifier of a vertex in a [`Graph`].
 ///
@@ -86,30 +86,12 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-#[derive(Debug, Clone, PartialEq)]
-struct Edge {
-    src: NodeId,
-    dst: NodeId,
-    capacity: f64,
-}
-
-impl ToJson for Edge {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("src", self.src.to_json()),
-            ("dst", self.dst.to_json()),
-            ("capacity", self.capacity.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Edge {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Edge {
-            src: NodeId::from_json(json.field("src")?)?,
-            dst: NodeId::from_json(json.field("dst")?)?,
-            capacity: f64::from_json(json.field("capacity")?)?,
-        })
+json_struct! {
+    #[derive(Debug, Clone, PartialEq)]
+    struct Edge {
+        src: NodeId,
+        dst: NodeId,
+        capacity: f64,
     }
 }
 

@@ -6,14 +6,28 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, JsonError};
 
-/// A dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
-pub struct Matrix {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
+json_struct! {
+    /// A dense row-major matrix of `f64`.
+    #[derive(Clone, PartialEq)]
+    pub struct Matrix {
+        rows: usize,
+        cols: usize,
+        data: Vec<f64>,
+    }
+    validate = shape_fits
+}
+
+fn shape_fits(m: &Matrix) -> Result<(), JsonError> {
+    let (rows, cols) = (m.rows, m.cols);
+    if rows.checked_mul(cols) != Some(m.data.len()) {
+        return Err(JsonError(format!(
+            "matrix data length {} does not match shape {rows}x{cols}",
+            m.data.len()
+        )));
+    }
+    Ok(())
 }
 
 impl fmt::Debug for Matrix {
@@ -377,31 +391,6 @@ impl Matrix {
     }
 }
 
-impl ToJson for Matrix {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("rows", self.rows.to_json()),
-            ("cols", self.cols.to_json()),
-            ("data", self.data.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Matrix {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let rows = usize::from_json(json.field("rows")?)?;
-        let cols = usize::from_json(json.field("cols")?)?;
-        let data = Vec::<f64>::from_json(json.field("data")?)?;
-        if data.len() != rows * cols {
-            return Err(JsonError(format!(
-                "matrix data length {} does not match shape {rows}x{cols}",
-                data.len()
-            )));
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-}
-
 impl Add for &Matrix {
     type Output = Matrix;
     fn add(self, rhs: &Matrix) -> Matrix {
@@ -428,6 +417,7 @@ impl Mul for &Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::{FromJson, Json, ToJson};
 
     #[test]
     fn construction_and_access() {
@@ -588,8 +578,16 @@ mod tests {
 
     #[test]
     fn json_rejects_bad_shape() {
-        let bad = Json::parse(r#"{"rows":2,"cols":2,"data":[1,2,3]}"#).unwrap();
-        assert!(Matrix::from_json(&bad).is_err());
+        for bad in [
+            r#"{"rows":2,"cols":2,"data":[1,2,3]}"#,
+            // rows * cols overflows usize: must be an error, not a
+            // multiply-overflow panic or a 2^64-entry matrix with no data.
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+            r#"{"rows":9007199254740992,"cols":2048,"data":[]}"#,
+        ] {
+            let json = Json::parse(bad).unwrap();
+            assert!(Matrix::from_json(&json).is_err(), "{bad}");
+        }
     }
 
     #[test]

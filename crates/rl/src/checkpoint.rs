@@ -14,7 +14,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, FromJson, Json, JsonError, ToJson};
 
 use crate::ppo::TrainingLog;
 use crate::running_stat::RunningMeanStd;
@@ -55,92 +55,81 @@ impl From<JsonError> for CheckpointError {
     }
 }
 
-/// A full snapshot of trainer state at an update boundary.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Format version ([`CHECKPOINT_VERSION`]).
-    pub version: u64,
-    /// Environment steps taken when the snapshot was written.
-    pub step: usize,
-    /// Reward accumulated in the episode in flight.
-    pub episode_reward: f64,
-    /// Learning-rate scale applied by quarantine rollbacks (1.0 until
-    /// the first rollback).
-    pub lr_scale: f64,
-    /// xoshiro256++ state of the training RNG stream.
-    pub rng: [u64; 4],
-    /// Environment episode state
-    /// ([`crate::env::ResumableEnv::state_json`]).
-    pub env_state: Json,
-    /// Policy/value parameters (`ParamStore::values_to_json`).
-    pub params: Json,
-    /// Optimiser state (`Adam::state_to_json`).
-    pub optimiser: Json,
-    /// Observation/reward normaliser, when the trainer uses one.
-    pub normaliser: Option<RunningMeanStd>,
-    /// The training log up to the snapshot.
-    pub log: TrainingLog,
-}
-
-fn rng_to_json(state: &[u64; 4]) -> Json {
-    Json::Arr(state.iter().map(|w| Json::Str(w.to_string())).collect())
-}
-
-fn rng_from_json(json: &Json) -> Result<[u64; 4], JsonError> {
-    let words = match json {
-        Json::Arr(items) if items.len() == 4 => items,
-        _ => return Err(JsonError("rng state must be 4 words".to_string())),
-    };
-    let mut state = [0u64; 4];
-    for (i, w) in words.iter().enumerate() {
-        let text = match w {
-            Json::Str(s) => s,
-            _ => return Err(JsonError("rng state word must be a string".to_string())),
-        };
-        state[i] = text
-            .parse::<u64>()
-            .map_err(|e| JsonError(format!("bad rng state word {text:?}: {e}")))?;
-    }
-    Ok(state)
-}
-
-impl ToJson for Checkpoint {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", self.version.to_json()),
-            ("step", self.step.to_json()),
-            ("episode_reward", self.episode_reward.to_json()),
-            ("lr_scale", self.lr_scale.to_json()),
-            ("rng", rng_to_json(&self.rng)),
-            ("env_state", self.env_state.clone()),
-            ("params", self.params.clone()),
-            ("optimiser", self.optimiser.clone()),
-            ("normaliser", self.normaliser.to_json()),
-            ("log", self.log.to_json()),
-        ])
+json_struct! {
+    /// A full snapshot of trainer state at an update boundary.
+    #[derive(Debug, Clone)]
+    pub struct Checkpoint {
+        /// Format version ([`CHECKPOINT_VERSION`]).
+        pub version: u64 as current_version,
+        /// Environment steps taken when the snapshot was written.
+        pub step: usize,
+        /// Reward accumulated in the episode in flight.
+        pub episode_reward: f64,
+        /// Learning-rate scale applied by quarantine rollbacks (1.0 until
+        /// the first rollback).
+        pub lr_scale: f64,
+        /// xoshiro256++ state of the training RNG stream.
+        pub rng: [u64; 4] as rng_words,
+        /// Environment episode state
+        /// ([`crate::env::ResumableEnv::state_json`]).
+        pub env_state: Json,
+        /// Policy/value parameters (`ParamStore::values_to_json`).
+        pub params: Json,
+        /// Optimiser state (`Adam::state_to_json`).
+        pub optimiser: Json,
+        /// Observation/reward normaliser, when the trainer uses one.
+        pub normaliser: Option<RunningMeanStd>,
+        /// The training log up to the snapshot.
+        pub log: TrainingLog,
     }
 }
 
-impl FromJson for Checkpoint {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let version = u64::from_json(json.field("version")?)?;
+/// The `version` field; decoding stops at any version but
+/// [`CHECKPOINT_VERSION`] before it reads the rest.
+mod current_version {
+    use super::CHECKPOINT_VERSION;
+    use gddr_ser::{FromJson, Json, JsonError, ToJson};
+
+    pub fn to_json(version: &u64) -> Json {
+        version.to_json()
+    }
+
+    pub fn from_json(json: &Json) -> Result<u64, JsonError> {
+        let version = u64::from_json(json)?;
         if version != CHECKPOINT_VERSION {
             return Err(JsonError(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        Ok(Checkpoint {
-            version,
-            step: FromJson::from_json(json.field("step")?)?,
-            episode_reward: FromJson::from_json(json.field("episode_reward")?)?,
-            lr_scale: FromJson::from_json(json.field("lr_scale")?)?,
-            rng: rng_from_json(json.field("rng")?)?,
-            env_state: json.field("env_state")?.clone(),
-            params: json.field("params")?.clone(),
-            optimiser: json.field("optimiser")?.clone(),
-            normaliser: FromJson::from_json(json.field("normaliser")?)?,
-            log: FromJson::from_json(json.field("log")?)?,
-        })
+        Ok(version)
+    }
+}
+
+/// The `rng` field: state words as decimal strings, since JSON numbers
+/// are exact only up to 2^53.
+mod rng_words {
+    use gddr_ser::{Json, JsonError};
+
+    pub fn to_json(state: &[u64; 4]) -> Json {
+        Json::Arr(state.iter().map(|w| Json::Str(w.to_string())).collect())
+    }
+
+    pub fn from_json(json: &Json) -> Result<[u64; 4], JsonError> {
+        let words = match json {
+            Json::Arr(items) if items.len() == 4 => items,
+            _ => return Err(JsonError("rng state must be 4 words".to_string())),
+        };
+        let mut state = [0u64; 4];
+        for (i, w) in words.iter().enumerate() {
+            let text = match w {
+                Json::Str(s) => s,
+                _ => return Err(JsonError("rng state word must be a string".to_string())),
+            };
+            state[i] = text
+                .parse::<u64>()
+                .map_err(|e| JsonError(format!("bad rng state word {text:?}: {e}")))?;
+        }
+        Ok(state)
     }
 }
 

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use gddr_rng::rngs::StdRng;
 use gddr_rng::Rng;
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::json_struct;
 
 use gddr_nn::optim::Adam;
 use gddr_nn::{Matrix, Tape};
@@ -62,85 +62,41 @@ impl Default for PpoConfig {
     }
 }
 
-/// Per-update optimisation diagnostics, averaged over the update's
-/// minibatches.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct UpdateStats {
-    /// Environment step count when the update finished.
-    pub step: usize,
-    /// Mean clipped-surrogate policy loss.
-    pub policy_loss: f64,
-    /// Mean squared-error value loss.
-    pub value_loss: f64,
-    /// Mean policy entropy.
-    pub entropy: f64,
-    /// Mean approximate KL divergence to the rollout policy,
-    /// `E[old_logp − new_logp]` — the PPO2 early-stopping signal.
-    pub approx_kl: f64,
-    /// Fraction of samples whose probability ratio was clipped,
-    /// `E[1{|ratio − 1| > ε}]`.
-    pub clip_fraction: f64,
-    /// Mean global gradient norm before clipping.
-    pub grad_norm: f64,
-}
-
-impl ToJson for UpdateStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("step", self.step.to_json()),
-            ("policy_loss", self.policy_loss.to_json()),
-            ("value_loss", self.value_loss.to_json()),
-            ("entropy", self.entropy.to_json()),
-            ("approx_kl", self.approx_kl.to_json()),
-            ("clip_fraction", self.clip_fraction.to_json()),
-            ("grad_norm", self.grad_norm.to_json()),
-        ])
+json_struct! {
+    /// Per-update optimisation diagnostics, averaged over the update's
+    /// minibatches.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub struct UpdateStats {
+        /// Environment step count when the update finished.
+        pub step: usize,
+        /// Mean clipped-surrogate policy loss.
+        pub policy_loss: f64,
+        /// Mean squared-error value loss.
+        pub value_loss: f64,
+        /// Mean policy entropy.
+        pub entropy: f64,
+        /// Mean approximate KL divergence to the rollout policy,
+        /// `E[old_logp − new_logp]` — the PPO2 early-stopping signal.
+        pub approx_kl: f64,
+        /// Fraction of samples whose probability ratio was clipped,
+        /// `E[1{|ratio − 1| > ε}]`.
+        pub clip_fraction: f64,
+        /// Mean global gradient norm before clipping.
+        pub grad_norm: f64,
     }
 }
 
-impl FromJson for UpdateStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(UpdateStats {
-            step: FromJson::from_json(json.field("step")?)?,
-            policy_loss: FromJson::from_json(json.field("policy_loss")?)?,
-            value_loss: FromJson::from_json(json.field("value_loss")?)?,
-            entropy: FromJson::from_json(json.field("entropy")?)?,
-            approx_kl: FromJson::from_json(json.field("approx_kl")?)?,
-            clip_fraction: FromJson::from_json(json.field("clip_fraction")?)?,
-            grad_norm: FromJson::from_json(json.field("grad_norm")?)?,
-        })
-    }
-}
-
-/// Training diagnostics.
-#[derive(Debug, Clone, Default)]
-pub struct TrainingLog {
-    /// `(env_step, episode_total_reward)` per finished episode — the
-    /// data behind the paper's Fig. 7 learning curves.
-    pub episodes: Vec<(usize, f64)>,
-    /// Optimisation diagnostics per update.
-    pub updates: Vec<UpdateStats>,
-    /// Total environment steps taken.
-    pub total_steps: usize,
-}
-
-impl ToJson for TrainingLog {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("episodes", self.episodes.to_json()),
-            ("updates", self.updates.to_json()),
-            ("total_steps", self.total_steps.to_json()),
-        ])
-    }
-}
-
-impl FromJson for TrainingLog {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(TrainingLog {
-            episodes: FromJson::from_json(json.field("episodes")?)?,
-            updates: FromJson::from_json(json.field("updates")?)?,
-            total_steps: FromJson::from_json(json.field("total_steps")?)?,
-        })
+json_struct! {
+    /// Training diagnostics.
+    #[derive(Debug, Clone, Default)]
+    pub struct TrainingLog {
+        /// `(env_step, episode_total_reward)` per finished episode — the
+        /// data behind the paper's Fig. 7 learning curves.
+        pub episodes: Vec<(usize, f64)>,
+        /// Optimisation diagnostics per update.
+        pub updates: Vec<UpdateStats>,
+        /// Total environment steps taken.
+        pub total_steps: usize,
     }
 }
 
@@ -736,6 +692,7 @@ mod tests {
     use crate::env::test_envs::ChaseEnv;
     use crate::policy::MlpGaussianPolicy;
     use gddr_rng::SeedableRng;
+    use gddr_ser::{FromJson, Json, ToJson};
 
     #[test]
     fn ppo_learns_chase_env() {

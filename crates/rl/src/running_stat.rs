@@ -1,14 +1,28 @@
 //! Running mean/std statistics (Welford), used for observation and
 //! reward normalisation.
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, JsonError};
 
-/// Incrementally tracked mean and variance of a stream of vectors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunningMeanStd {
-    mean: Vec<f64>,
-    m2: Vec<f64>,
-    count: f64,
+json_struct! {
+    /// Incrementally tracked mean and variance of a stream of vectors.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct RunningMeanStd {
+        mean: Vec<f64>,
+        m2: Vec<f64>,
+        count: f64,
+    }
+    validate = same_dims
+}
+
+fn same_dims(rs: &RunningMeanStd) -> Result<(), JsonError> {
+    if rs.mean.len() != rs.m2.len() {
+        return Err(JsonError(format!(
+            "running-stat dimension mismatch: {} means vs {} m2",
+            rs.mean.len(),
+            rs.m2.len()
+        )));
+    }
+    Ok(())
 }
 
 impl RunningMeanStd {
@@ -74,35 +88,10 @@ impl RunningMeanStd {
     }
 }
 
-impl ToJson for RunningMeanStd {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("mean", self.mean.to_json()),
-            ("m2", self.m2.to_json()),
-            ("count", self.count.to_json()),
-        ])
-    }
-}
-
-impl FromJson for RunningMeanStd {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let mean = Vec::<f64>::from_json(json.field("mean")?)?;
-        let m2 = Vec::<f64>::from_json(json.field("m2")?)?;
-        let count = f64::from_json(json.field("count")?)?;
-        if mean.len() != m2.len() {
-            return Err(JsonError(format!(
-                "running-stat dimension mismatch: {} means vs {} m2",
-                mean.len(),
-                m2.len()
-            )));
-        }
-        Ok(RunningMeanStd { mean, m2, count })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::{FromJson, Json, ToJson};
 
     #[test]
     fn matches_batch_statistics() {

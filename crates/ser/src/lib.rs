@@ -16,6 +16,15 @@
 //! - [`FromJson`] — rebuild a value from a parsed [`Json`] tree
 //!   ([`Json::parse`]).
 //!
+//! Structs and tagged enums get both impls from one declaration:
+//! [`json_struct!`] and [`json_enum!`] wrap the type's definition and
+//! expand to the same `Json::obj([...])` calls a hand-written impl
+//! makes, so the output is byte-identical to it (the
+//! `integration_wire` fixtures pin this). Decoding builds the value
+//! with a struct literal, so no field can be skipped. Integers decode
+//! exactly: a fractional number, one outside the target type, or one
+//! above 2^53 in magnitude is an error, never a silent cast.
+//!
 //! ```
 //! use gddr_ser::{FromJson, Json, ToJson};
 //!
@@ -127,6 +136,27 @@ impl Json {
             Json::Arr(items) => Ok(items),
             other => Err(JsonError::new(format!(
                 "expected array, got {}",
+                other.kind()
+            ))),
+        }
+    }
+
+    /// The number as an exact integer.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless `self` is a finite, integral number of magnitude
+    /// at most 2^53: above that, `f64` no longer holds every integer,
+    /// so the value on the wire may not be the value that was written.
+    fn integer(&self) -> Result<i64, JsonError> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        match self {
+            Json::Num(v) if v.fract() == 0.0 && v.abs() <= MAX_EXACT => Ok(*v as i64),
+            Json::Num(v) => Err(JsonError::new(format!(
+                "expected an integer of magnitude at most 2^53, got {v}"
+            ))),
+            other => Err(JsonError::new(format!(
+                "expected number, got {}",
                 other.kind()
             ))),
         }
@@ -444,7 +474,7 @@ pub fn from_json_str<T: FromJson>(text: &str) -> Result<T, JsonError> {
 
 // --- impls for primitives and std containers -------------------------
 
-macro_rules! num_impls {
+macro_rules! float_impls {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json {
@@ -463,7 +493,26 @@ macro_rules! num_impls {
         }
     )*};
 }
-num_impls!(f64, f32, usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
+float_impls!(f64, f32);
+
+macro_rules! int_impls {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+        }
+        impl FromJson for $t {
+            fn from_json(json: &Json) -> Result<Self, JsonError> {
+                let v = json.integer()?;
+                <$t>::try_from(v).map_err(|_| {
+                    JsonError::new(format!("integer {v} is out of range for {}", stringify!($t)))
+                })
+            }
+        }
+    )*};
+}
+int_impls!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
 
 impl ToJson for bool {
     fn to_json(&self) -> Json {
@@ -510,6 +559,12 @@ impl ToJson for &str {
 impl ToJson for Json {
     fn to_json(&self) -> Json {
         self.clone()
+    }
+}
+
+impl FromJson for Json {
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        Ok(json.clone())
     }
 }
 
@@ -598,6 +653,293 @@ impl<V: FromJson> FromJson for BTreeMap<String, V> {
             ))),
         }
     }
+}
+
+/// Field codec for `Vec<(String, T)>` written as a JSON object, with
+/// keys in vector order: `[("a", 1)]` ↔ `{"a":1}`. Use it on a
+/// declared field with `as named` (see [`json_struct!`]).
+pub mod named {
+    use super::{FromJson, Json, JsonError, ToJson};
+
+    /// Encodes the pairs as one object, order preserved.
+    pub fn to_json<T: ToJson>(pairs: &[(String, T)]) -> Json {
+        Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_json()))
+                .collect(),
+        )
+    }
+
+    /// Decodes an object into its pairs, order preserved.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `json` is not an object or a value does not decode.
+    pub fn from_json<T: FromJson>(json: &Json) -> Result<Vec<(String, T)>, JsonError> {
+        match json {
+            Json::Obj(fields) => fields
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), T::from_json(v)?)))
+                .collect(),
+            other => Err(JsonError::new(format!(
+                "expected object, got {}",
+                other.kind()
+            ))),
+        }
+    }
+}
+
+// --- declarative codecs ----------------------------------------------
+
+/// Declares a struct and its [`ToJson`] / [`FromJson`] impls from one
+/// field list.
+///
+/// The struct is written as usual, attributes and doc comments
+/// included. It encodes as one object with a key per field, named
+/// after the field, in declaration order. Each field goes through its
+/// type's own `ToJson` / `FromJson`, or through the `to_json` /
+/// `from_json` functions of a codec module named after `as` (e.g.
+/// [`named`]). An optional `validate = check` names a
+/// `fn(&Self) -> Result<(), JsonError>` that runs on every decoded
+/// value.
+///
+/// The output is byte-identical to the hand-written
+/// `Json::obj([("field", self.field.to_json()), ...])` it replaces,
+/// and decoding builds the value with a struct literal, so every field
+/// is decoded.
+///
+/// ```
+/// use gddr_ser::{from_json_str, json_struct, named, JsonError, ToJson};
+///
+/// json_struct! {
+///     /// A labelled tally.
+///     #[derive(Debug, PartialEq)]
+///     pub struct Tally {
+///         /// What is counted.
+///         pub label: String,
+///         /// Count per bucket.
+///         pub counts: Vec<(String, u64)> as named,
+///     }
+///     validate = non_empty
+/// }
+///
+/// fn non_empty(t: &Tally) -> Result<(), JsonError> {
+///     if t.label.is_empty() {
+///         return Err(JsonError("empty label".into()));
+///     }
+///     Ok(())
+/// }
+///
+/// let t = Tally { label: "hits".into(), counts: vec![("a".into(), 2)] };
+/// let text = t.to_json().to_string();
+/// assert_eq!(text, r#"{"label":"hits","counts":{"a":2}}"#);
+/// assert_eq!(from_json_str::<Tally>(&text).unwrap(), t);
+/// assert!(from_json_str::<Tally>(r#"{"label":"","counts":{}}"#).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident : $ty:ty $(as $($codec:ident)::+)?
+            ),* $(,)?
+        }
+        $(validate = $check:path)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::obj([$(
+                    (
+                        stringify!($field),
+                        $crate::__json_field!(enc &self.$field $(, $($codec)::+)?),
+                    ),
+                )*])
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(
+                json: &$crate::Json,
+            ) -> ::std::result::Result<Self, $crate::JsonError> {
+                let value = $name {
+                    $( $field: $crate::__json_field!(dec json, $field $(, $($codec)::+)?), )*
+                };
+                $( $check(&value)?; )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Declares an enum of struct-like variants and its [`ToJson`] /
+/// [`FromJson`] impls from one variant list.
+///
+/// Each variant encodes as one object: first the tag key named after
+/// `tagged`, holding the variant's wire tag, then its fields exactly
+/// as [`json_struct!`] writes them. Decoding dispatches on the tag;
+/// an unknown tag is an error.
+///
+/// The expansion also gives the enum:
+/// - `SCHEMA`, each wire tag in declaration order with its fields as
+///   `(name, type)` strings (`"Vec<(String, String)> as named"` for a
+///   field with a codec), so a generator can build every kind without
+///   a second list;
+/// - `kind()`, the wire tag of a value.
+///
+/// A trailing `fn name(&self) -> Type;` declares one more method, and
+/// then every variant ends in `=> expr`: the method's value for that
+/// variant, evaluated with its fields bound by reference. Per-variant
+/// facts (a counter, an owner) thus sit next to the fields they read;
+/// a variant without one, or an `=> expr` without the method, fails
+/// to compile.
+///
+/// ```
+/// use gddr_ser::{json_enum, FromJson, Json, ToJson};
+///
+/// json_enum! {
+///     #[derive(Debug, PartialEq)]
+///     pub enum Shape tagged "type" {
+///         Circle = "circle" { r: f64 } => None,
+///         Tile = "tile" { side: f64, owner: u64 } => Some(*owner),
+///     }
+///     /// Who owns the shape, if anyone.
+///     pub fn owner(&self) -> Option<u64>;
+/// }
+///
+/// let tile = Shape::Tile { side: 2.0, owner: 7 };
+/// let text = tile.to_json().to_string();
+/// assert_eq!(text, r#"{"type":"tile","side":2,"owner":7}"#);
+/// assert_eq!(Shape::from_json(&Json::parse(&text).unwrap()).unwrap(), tile);
+/// assert_eq!((tile.kind(), tile.owner()), ("tile", Some(7)));
+/// assert_eq!(Shape::SCHEMA[1], ("tile", &[("side", "f64"), ("owner", "u64")][..]));
+/// ```
+#[macro_export]
+macro_rules! json_enum {
+    (@facts $name:ident [$( $variant:ident { $($field:ident)* } ),*]) => {};
+    (
+        @facts $name:ident [$( $variant:ident { $($field:ident)* } => $facts:expr ),*]
+        $(#[$meta:meta])* $vis:vis fn $method:ident(&self) -> $ty:ty;
+    ) => {
+        impl $name {
+            $(#[$meta])*
+            #[inline]
+            #[allow(unused_variables)]
+            $vis fn $method(&self) -> $ty {
+                match self {
+                    $( $name::$variant { $($field),* } => $facts, )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident tagged $tag_key:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $tag:literal {
+                    $(
+                        $(#[$fmeta:meta])*
+                        $field:ident : $ty:ty $(as $($codec:ident)::+)?
+                    ),* $(,)?
+                } $(=> $facts:expr)?
+            ),* $(,)?
+        }
+        $($method:tt)*
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+            )*
+        }
+
+        impl $name {
+            /// Each wire tag with its fields as `(name, type)`, in wire
+            /// order; a field with a codec reads `"<type> as <codec>"`.
+            pub const SCHEMA: &'static [(&'static str, &'static [(&'static str, &'static str)])] = &[$(
+                ($tag, &[$(
+                    (
+                        stringify!($field),
+                        concat!(stringify!($ty) $(, " as ", stringify!($($codec)::+))?),
+                    ),
+                )*]),
+            )*];
+
+            /// The wire tag of this value's variant.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
+            }
+        }
+
+        impl $crate::ToJson for $name {
+            fn to_json(&self) -> $crate::Json {
+                match self {
+                    $(
+                        $name::$variant { $($field),* } => $crate::Json::obj([
+                            ($tag_key, $crate::ToJson::to_json(&$tag)),
+                            $(
+                                (
+                                    stringify!($field),
+                                    $crate::__json_field!(enc $field $(, $($codec)::+)?),
+                                ),
+                            )*
+                        ]),
+                    )*
+                }
+            }
+        }
+
+        impl $crate::FromJson for $name {
+            fn from_json(
+                json: &$crate::Json,
+            ) -> ::std::result::Result<Self, $crate::JsonError> {
+                let tag = <String as $crate::FromJson>::from_json(json.field($tag_key)?)?;
+                match tag.as_str() {
+                    $(
+                        $tag => Ok($name::$variant {
+                            $( $field: $crate::__json_field!(dec json, $field $(, $($codec)::+)?), )*
+                        }),
+                    )*
+                    other => Err($crate::JsonError(format!(
+                        "unknown {} {} {other:?}",
+                        stringify!($name),
+                        $tag_key,
+                    ))),
+                }
+            }
+        }
+
+        $crate::json_enum!(@facts $name [$( $variant { $($field)* } $(=> $facts)? ),*] $($method)*);
+    };
+}
+
+/// One field of a [`json_struct!`] / [`json_enum!`] expansion.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_field {
+    (enc $value:expr) => {
+        $crate::ToJson::to_json($value)
+    };
+    (enc $value:expr, $($codec:ident)::+) => {
+        $($codec)::+::to_json($value)
+    };
+    (dec $json:ident, $field:ident) => {
+        $crate::FromJson::from_json($json.field(stringify!($field))?)?
+    };
+    (dec $json:ident, $field:ident, $($codec:ident)::+) => {
+        $($codec)::+::from_json($json.field(stringify!($field))?)?
+    };
 }
 
 #[cfg(test)]
@@ -727,6 +1069,133 @@ mod tests {
                 Json::Num(back) => assert_eq!(back, v, "{text}"),
                 other => panic!("expected number, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn integers_reject_lossy_numbers() {
+        // A saturating `as` cast would read these as 0, 2, u64::MAX and
+        // 2^53 + 2, which f64 cannot tell apart from 2^53 + 1.
+        for text in ["-1", "2.5", "1e300", "9007199254740994", "1e400", "-1e400"] {
+            let json = Json::parse(text).unwrap();
+            assert!(u64::from_json(&json).is_err(), "u64 from {text}");
+            assert!(usize::from_json(&json).is_err(), "usize from {text}");
+            assert!(u32::from_json(&json).is_err(), "u32 from {text}");
+        }
+        assert!(u8::from_json(&Json::Num(256.0)).is_err());
+        assert!(i8::from_json(&Json::Num(-129.0)).is_err());
+        assert!(u64::from_json(&Json::Num(f64::NAN)).is_err());
+    }
+
+    #[test]
+    fn in_range_integers_round_trip() {
+        for v in [0u64, 1, 255, (1 << 53) - 1, 1 << 53] {
+            let back: u64 = from_json_str(&v.to_json().to_string()).unwrap();
+            assert_eq!(back, v);
+        }
+        for v in [i64::from(i8::MIN), -1, 0, -(1 << 53)] {
+            let back: i64 = from_json_str(&v.to_json().to_string()).unwrap();
+            assert_eq!(back, v);
+        }
+        assert_eq!(from_json_str::<i8>("-128").unwrap(), i8::MIN);
+        assert_eq!(from_json_str::<u8>("255").unwrap(), u8::MAX);
+        assert_eq!(from_json_str::<usize>("1e3").unwrap(), 1000);
+    }
+
+    json_struct! {
+        #[derive(Debug, PartialEq)]
+        struct Probe {
+            id: u32,
+            tags: Vec<(String, f64)> as named,
+            note: Option<String>,
+        }
+        validate = probe_is_sorted
+    }
+
+    fn probe_is_sorted(p: &Probe) -> Result<(), JsonError> {
+        if p.tags.windows(2).any(|w| w[0].0 > w[1].0) {
+            return Err(JsonError::new("tags out of order"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn declared_struct_encodes_fields_in_order_and_validates() {
+        let p = Probe {
+            id: 3,
+            tags: vec![("a".into(), 0.5), ("b".into(), -1.0)],
+            note: None,
+        };
+        let text = p.to_json().to_string();
+        assert_eq!(text, r#"{"id":3,"tags":{"a":0.5,"b":-1},"note":null}"#);
+        assert_eq!(from_json_str::<Probe>(&text).unwrap(), p);
+        for bad in [
+            r#"{"id":3,"tags":{"b":1,"a":2},"note":null}"#,
+            r#"{"id":3,"tags":[],"note":null}"#,
+            r#"{"id":-3,"tags":{},"note":null}"#,
+            r#"{"id":3,"tags":{}}"#,
+        ] {
+            assert!(from_json_str::<Probe>(bad).is_err(), "{bad}");
+        }
+    }
+
+    mod doubled {
+        use super::super::{FromJson, Json, JsonError, ToJson};
+
+        pub fn to_json(v: &u64) -> Json {
+            (v * 2).to_json()
+        }
+
+        pub fn from_json(json: &Json) -> Result<u64, JsonError> {
+            Ok(u64::from_json(json)? / 2)
+        }
+    }
+
+    json_enum! {
+        #[derive(Debug, PartialEq)]
+        enum Note tagged "kind" {
+            Empty = "empty" {} => 0,
+            Pair = "pair" { left: u64 as doubled, right: String } => *left,
+        }
+        fn weight(&self) -> u64;
+    }
+
+    #[test]
+    fn declared_enum_tags_dispatch_and_reports_facts() {
+        let notes = [
+            Note::Empty {},
+            Note::Pair {
+                left: 4,
+                right: "x".into(),
+            },
+        ];
+        let texts: Vec<String> = notes.iter().map(|n| n.to_json().to_string()).collect();
+        assert_eq!(
+            texts,
+            [
+                r#"{"kind":"empty"}"#,
+                r#"{"kind":"pair","left":8,"right":"x"}"#
+            ]
+        );
+        for (note, text) in notes.iter().zip(&texts) {
+            assert_eq!(&from_json_str::<Note>(text).unwrap(), note);
+        }
+        assert_eq!(Note::SCHEMA[0], ("empty", &[][..]));
+        assert_eq!(
+            Note::SCHEMA[1],
+            (
+                "pair",
+                &[("left", "u64 as doubled"), ("right", "String")][..]
+            )
+        );
+        assert_eq!((notes[0].weight(), notes[1].weight()), (0, 4));
+        assert_eq!(notes[1].kind(), "pair");
+        for bad in [
+            r#"{"kind":"trio"}"#,
+            r#"{"left":1}"#,
+            r#"{"kind":"pair","left":2}"#,
+        ] {
+            assert!(from_json_str::<Note>(bad).is_err(), "{bad}");
         }
     }
 }

@@ -17,7 +17,7 @@
 
 use gddr_net::Graph;
 use gddr_routing::Routing;
-use gddr_ser::Json;
+use gddr_ser::{FromJson, Json};
 
 /// Encodes a u64 losslessly (decimal string; JSON numbers are f64).
 pub(crate) fn u64_to_json(v: u64) -> Json {
@@ -34,14 +34,7 @@ pub(crate) fn u64_from_json(json: &Json, what: &str) -> Result<u64, String> {
 
 /// Decodes a small non-negative integer stored as a JSON number.
 pub(crate) fn index_from_json(json: &Json, what: &str) -> Result<usize, String> {
-    let n = match json {
-        Json::Num(n) => *n,
-        _ => return Err(format!("{what}: not a number")),
-    };
-    if !(n.is_finite() && n >= 0.0 && n.fract() == 0.0 && n <= (1u64 << 53) as f64) {
-        return Err(format!("{what}: {n} is not a small non-negative integer"));
-    }
-    Ok(n as usize)
+    usize::from_json(json).map_err(|e| format!("{what}: {}", e.0))
 }
 
 /// See [`index_from_json`]; counters and epochs fit in 2^53 easily.

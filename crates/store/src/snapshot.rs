@@ -11,70 +11,34 @@
 //! validation (does the routing fit the graph?) happens in the
 //! restorer.
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, FromJson, Json, ToJson};
 
 use crate::error::StoreError;
 use crate::record::{decode_record, encode_record};
 
-/// Durable state captured from one shard's replica set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSnapshot {
-    /// Stable shard index within the fleet.
-    pub shard: u64,
-    /// Shard name (recovery matches by name, not position).
-    pub name: String,
-    /// Serving-layer state tree, opaque to the store.
-    pub state: Json,
-}
-
-impl ToJson for ShardSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("shard", self.shard.to_json()),
-            ("name", self.name.to_json()),
-            ("state", self.state.clone()),
-        ])
+json_struct! {
+    /// Durable state captured from one shard's replica set.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ShardSnapshot {
+        /// Stable shard index within the fleet.
+        pub shard: u64,
+        /// Shard name (recovery matches by name, not position).
+        pub name: String,
+        /// Serving-layer state tree, opaque to the store.
+        pub state: Json,
     }
 }
 
-impl FromJson for ShardSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(ShardSnapshot {
-            shard: u64::from_json(json.field("shard")?)?,
-            name: String::from_json(json.field("name")?)?,
-            state: json.field("state")?.clone(),
-        })
-    }
-}
-
-/// One generation of durable fleet state.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSnapshot {
-    /// Monotonic snapshot generation (the store's commit counter).
-    pub generation: u64,
-    /// The logical tick at which the snapshot was taken.
-    pub tick: u64,
-    /// Per-shard captures, in shard order.
-    pub shards: Vec<ShardSnapshot>,
-}
-
-impl ToJson for FleetSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("generation", self.generation.to_json()),
-            ("tick", self.tick.to_json()),
-            ("shards", self.shards.to_json()),
-        ])
-    }
-}
-
-impl FromJson for FleetSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(FleetSnapshot {
-            generation: u64::from_json(json.field("generation")?)?,
-            tick: u64::from_json(json.field("tick")?)?,
-            shards: Vec::from_json(json.field("shards")?)?,
-        })
+json_struct! {
+    /// One generation of durable fleet state.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct FleetSnapshot {
+        /// Monotonic snapshot generation (the store's commit counter).
+        pub generation: u64,
+        /// The logical tick at which the snapshot was taken.
+        pub tick: u64,
+        /// Per-shard captures, in shard order.
+        pub shards: Vec<ShardSnapshot>,
     }
 }
 
@@ -166,5 +130,24 @@ mod tests {
             FleetSnapshot::from_record_bytes(&framed).unwrap_err(),
             StoreError::Decode(_)
         ));
+    }
+
+    #[test]
+    fn lossy_integers_are_decode_errors() {
+        // A saturating cast would restore generation 0 or tick 2 here.
+        for payload in [
+            r#"{"generation":-1,"tick":2,"shards":[]}"#,
+            r#"{"generation":1,"tick":2.5,"shards":[]}"#,
+            r#"{"generation":9007199254740994,"tick":2,"shards":[]}"#,
+        ] {
+            let framed = encode_record(payload.as_bytes());
+            assert!(
+                matches!(
+                    FleetSnapshot::from_record_bytes(&framed).unwrap_err(),
+                    StoreError::Decode(_)
+                ),
+                "{payload}"
+            );
+        }
     }
 }

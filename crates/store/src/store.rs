@@ -17,7 +17,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, FromJson, Json, ToJson};
 
 use crate::crc::crc32;
 use crate::error::StoreError;
@@ -32,35 +32,17 @@ pub const MANIFEST_NAME: &str = "MANIFEST.json";
 /// history for post-mortems).
 const KEEP_GENERATIONS: u64 = 3;
 
-/// The commit pointer: which record file holds the latest good
-/// generation, and what its payload must hash to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    /// Generation this manifest commits.
-    pub generation: u64,
-    /// Record file name (relative to the store directory).
-    pub file: String,
-    /// CRC-32 of the record payload, cross-checked on load.
-    pub payload_crc: u32,
-}
-
-impl ToJson for Manifest {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("generation", self.generation.to_json()),
-            ("file", self.file.to_json()),
-            ("payload_crc", self.payload_crc.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Manifest {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Manifest {
-            generation: u64::from_json(json.field("generation")?)?,
-            file: String::from_json(json.field("file")?)?,
-            payload_crc: u32::from_json(json.field("payload_crc")?)?,
-        })
+json_struct! {
+    /// The commit pointer: which record file holds the latest good
+    /// generation, and what its payload must hash to.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Manifest {
+        /// Generation this manifest commits.
+        pub generation: u64,
+        /// Record file name (relative to the store directory).
+        pub file: String,
+        /// CRC-32 of the record payload, cross-checked on load.
+        pub payload_crc: u32,
     }
 }
 

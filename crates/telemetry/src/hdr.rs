@@ -16,7 +16,7 @@
 //! by addition (the property that makes per-shard p99s composable into
 //! a fleet p99, which mean-of-quantiles is not).
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::json_struct;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` buckets.
@@ -171,16 +171,37 @@ fn quantile_over(count: u64, buckets: impl Iterator<Item = (usize, u64)>, q: f64
     bucket_bounds(last).1
 }
 
-/// A sparse snapshot of a [`LogHistogram`]: JSON-serialisable and
-/// mergeable across shards by bucket-count addition.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HdrSnapshot {
-    /// Total observations.
-    pub count: u64,
-    /// Sum of observations (saturating).
-    pub sum: u64,
-    /// Sparse `(bucket index, count)` pairs, ascending by index.
-    pub buckets: Vec<(u64, u64)>,
+json_struct! {
+    /// A sparse snapshot of a [`LogHistogram`]: JSON-serialisable and
+    /// mergeable across shards by bucket-count addition.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct HdrSnapshot {
+        /// Total observations.
+        pub count: u64,
+        /// Sum of observations (saturating).
+        pub sum: u64 as saturating,
+        /// Sparse `(bucket index, count)` pairs, ascending by index.
+        pub buckets: Vec<(u64, u64)>,
+    }
+}
+
+/// The `sum` field. The sum saturates at `u64::MAX`, which JSON writes
+/// as 2^64, so decoding clamps instead of rejecting values past 2^53.
+mod saturating {
+    use gddr_ser::{Json, JsonError, ToJson};
+
+    pub fn to_json(sum: &u64) -> Json {
+        sum.to_json()
+    }
+
+    pub fn from_json(json: &Json) -> Result<u64, JsonError> {
+        match json {
+            Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Ok(*v as u64),
+            other => Err(JsonError(format!(
+                "expected a non-negative integer sum, got {other:?}"
+            ))),
+        }
+    }
 }
 
 impl HdrSnapshot {
@@ -242,49 +263,10 @@ impl HdrSnapshot {
     }
 }
 
-impl ToJson for HdrSnapshot {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("count", self.count.to_json()),
-            ("sum", self.sum.to_json()),
-            (
-                "buckets",
-                Json::Arr(
-                    self.buckets
-                        .iter()
-                        .map(|(i, c)| Json::Arr(vec![i.to_json(), c.to_json()]))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromJson for HdrSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let buckets = json
-            .field("buckets")?
-            .elements()?
-            .iter()
-            .map(|pair| {
-                let pair = pair.elements()?;
-                if pair.len() != 2 {
-                    return Err(JsonError("hdr bucket must be [index, count]".to_string()));
-                }
-                Ok((u64::from_json(&pair[0])?, u64::from_json(&pair[1])?))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(HdrSnapshot {
-            count: FromJson::from_json(json.field("count")?)?,
-            sum: FromJson::from_json(json.field("sum")?)?,
-            buckets,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::{FromJson, Json, ToJson};
 
     #[test]
     fn small_values_are_exact() {

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, named};
 
 use crate::hdr::{HdrSnapshot, LogHistogram};
 
@@ -126,15 +126,17 @@ impl Registry {
     }
 }
 
-/// Frozen registry state: all metrics by kind, sorted by name.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MetricsSnapshot {
-    /// `(name, total)` pairs.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, last value)` pairs.
-    pub gauges: Vec<(String, f64)>,
-    /// `(name, histogram)` pairs.
-    pub histograms: Vec<(String, HdrSnapshot)>,
+json_struct! {
+    /// Frozen registry state: all metrics by kind, sorted by name.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct MetricsSnapshot {
+        /// `(name, total)` pairs.
+        pub counters: Vec<(String, u64)> as named,
+        /// `(name, last value)` pairs.
+        pub gauges: Vec<(String, f64)> as named,
+        /// `(name, histogram)` pairs.
+        pub histograms: Vec<(String, HdrSnapshot)> as named,
+    }
 }
 
 impl MetricsSnapshot {
@@ -160,46 +162,10 @@ impl MetricsSnapshot {
     }
 }
 
-impl ToJson for MetricsSnapshot {
-    fn to_json(&self) -> Json {
-        fn named<T: ToJson>(pairs: &[(String, T)]) -> Json {
-            Json::Obj(
-                pairs
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.to_json()))
-                    .collect(),
-            )
-        }
-        Json::obj([
-            ("counters", named(&self.counters)),
-            ("gauges", named(&self.gauges)),
-            ("histograms", named(&self.histograms)),
-        ])
-    }
-}
-
-impl FromJson for MetricsSnapshot {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        fn named<T: FromJson>(json: &Json) -> Result<Vec<(String, T)>, JsonError> {
-            match json {
-                Json::Obj(fields) => fields
-                    .iter()
-                    .map(|(n, v)| Ok((n.clone(), T::from_json(v)?)))
-                    .collect(),
-                other => Err(JsonError(format!("expected object, got {other:?}"))),
-            }
-        }
-        Ok(MetricsSnapshot {
-            counters: named(json.field("counters")?)?,
-            gauges: named(json.field("gauges")?)?,
-            histograms: named(json.field("histograms")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::{FromJson, Json, ToJson};
 
     #[test]
     fn counters_accumulate() {

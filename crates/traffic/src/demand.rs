@@ -2,36 +2,30 @@
 
 use std::fmt;
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, JsonError};
 
-/// A traffic demand matrix `D ∈ R^{|V|×|V|}` where `D[s][t]` is the
-/// demand from source `s` to destination `t` (paper §IV-A).
-///
-/// The diagonal is always zero: a node sends no traffic to itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DemandMatrix {
-    n: usize,
-    data: Vec<f64>,
+json_struct! {
+    /// A traffic demand matrix `D ∈ R^{|V|×|V|}` where `D[s][t]` is the
+    /// demand from source `s` to destination `t` (paper §IV-A).
+    ///
+    /// The diagonal is always zero: a node sends no traffic to itself.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DemandMatrix {
+        n: usize,
+        data: Vec<f64>,
+    }
+    validate = shape_fits
 }
 
-impl ToJson for DemandMatrix {
-    fn to_json(&self) -> Json {
-        Json::obj([("n", self.n.to_json()), ("data", self.data.to_json())])
+fn shape_fits(dm: &DemandMatrix) -> Result<(), JsonError> {
+    let n = dm.n;
+    if n.checked_mul(n) != Some(dm.data.len()) {
+        return Err(JsonError(format!(
+            "demand matrix data length {} does not match {n}x{n}",
+            dm.data.len()
+        )));
     }
-}
-
-impl FromJson for DemandMatrix {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let n = usize::from_json(json.field("n")?)?;
-        let data = Vec::<f64>::from_json(json.field("data")?)?;
-        if data.len() != n * n {
-            return Err(JsonError(format!(
-                "demand matrix data length {} does not match {n}x{n}",
-                data.len()
-            )));
-        }
-        Ok(DemandMatrix { n, data })
-    }
+    Ok(())
 }
 
 impl DemandMatrix {
@@ -196,6 +190,20 @@ impl fmt::Display for DemandMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gddr_ser::{FromJson, Json};
+
+    #[test]
+    fn json_rejects_bad_shape() {
+        for bad in [
+            r#"{"n":2,"data":[0,1,2]}"#,
+            // n * n overflows usize: an error, not a panic or an empty
+            // 2^32-node matrix.
+            r#"{"n":4294967296,"data":[]}"#,
+        ] {
+            let json = Json::parse(bad).unwrap();
+            assert!(DemandMatrix::from_json(&json).is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn zeros_and_set_get() {
