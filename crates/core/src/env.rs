@@ -25,7 +25,7 @@ use gddr_nn::Matrix;
 use gddr_rl::{Env, ResumableEnv, Step};
 use gddr_routing::sim::max_link_utilisation;
 use gddr_routing::softmin::{softmin_routing, SoftminConfig};
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{u64_strings, FromJson, Json, JsonError, ToJson};
 use gddr_traffic::DemandMatrix;
 
 use crate::error::CoreError;
@@ -490,30 +490,6 @@ impl Env for DdrEnv {
     }
 }
 
-fn rng_state_to_json(state: &[u64; 4]) -> Json {
-    // Decimal strings: `gddr-ser` routes numbers through `f64`, which
-    // would silently truncate state words above 2^53.
-    Json::Arr(state.iter().map(|w| Json::Str(w.to_string())).collect())
-}
-
-fn rng_state_from_json(json: &Json) -> Result<[u64; 4], JsonError> {
-    let words = match json {
-        Json::Arr(items) if items.len() == 4 => items,
-        _ => return Err(JsonError("rng state must be 4 words".to_string())),
-    };
-    let mut state = [0u64; 4];
-    for (i, w) in words.iter().enumerate() {
-        let text = match w {
-            Json::Str(s) => s,
-            _ => return Err(JsonError("rng state word must be a string".to_string())),
-        };
-        state[i] = text
-            .parse::<u64>()
-            .map_err(|e| JsonError(format!("bad rng state word {text:?}: {e}")))?;
-    }
-    Ok(state)
-}
-
 impl ResumableEnv for DdrEnv {
     fn state_json(&self) -> Json {
         let history: Vec<Json> = self.history.iter().map(ToJson::to_json).collect();
@@ -525,7 +501,7 @@ impl ResumableEnv for DdrEnv {
         if let Some(injector) = &self.injector {
             fields.push((
                 "injector_rng".to_string(),
-                rng_state_to_json(&injector.rng.state()),
+                u64_strings::to_json(&injector.rng.state()),
             ));
         }
         if let Some(faulted) = &self.faulted {
@@ -565,7 +541,7 @@ impl ResumableEnv for DdrEnv {
             matrices.push(dm);
         }
         let injector_rng = match (&self.injector, state.field("injector_rng")) {
-            (Some(_), Ok(json)) => Some(rng_state_from_json(json)?),
+            (Some(_), Ok(json)) => Some(u64_strings::from_json(json)?),
             (Some(_), Err(_)) => {
                 return Err(JsonError(
                     "state lacks injector rng for a failure-injecting env".to_string(),

@@ -7,14 +7,13 @@
 //! environment's episode state, the RNG stream, the in-flight episode
 //! reward, an optional observation normaliser, and the full
 //! [`TrainingLog`] so far. RNG state words are encoded as decimal
-//! strings — `gddr-ser` routes integers through `f64`, which would
-//! silently truncate values above 2^53.
+//! strings, since JSON numbers hold integers exactly only up to 2^53.
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gddr_ser::{json_struct, FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, u64_strings, FromJson, Json, JsonError, ToJson};
 
 use crate::ppo::TrainingLog;
 use crate::running_stat::RunningMeanStd;
@@ -69,7 +68,7 @@ json_struct! {
         /// the first rollback).
         pub lr_scale: f64,
         /// xoshiro256++ state of the training RNG stream.
-        pub rng: [u64; 4] as rng_words,
+        pub rng: [u64; 4] as u64_strings,
         /// Environment episode state
         /// ([`crate::env::ResumableEnv::state_json`]).
         pub env_state: Json,
@@ -102,34 +101,6 @@ mod current_version {
             )));
         }
         Ok(version)
-    }
-}
-
-/// The `rng` field: state words as decimal strings, since JSON numbers
-/// are exact only up to 2^53.
-mod rng_words {
-    use gddr_ser::{Json, JsonError};
-
-    pub fn to_json(state: &[u64; 4]) -> Json {
-        Json::Arr(state.iter().map(|w| Json::Str(w.to_string())).collect())
-    }
-
-    pub fn from_json(json: &Json) -> Result<[u64; 4], JsonError> {
-        let words = match json {
-            Json::Arr(items) if items.len() == 4 => items,
-            _ => return Err(JsonError("rng state must be 4 words".to_string())),
-        };
-        let mut state = [0u64; 4];
-        for (i, w) in words.iter().enumerate() {
-            let text = match w {
-                Json::Str(s) => s,
-                _ => return Err(JsonError("rng state word must be a string".to_string())),
-            };
-            state[i] = text
-                .parse::<u64>()
-                .map_err(|e| JsonError(format!("bad rng state word {text:?}: {e}")))?;
-        }
-        Ok(state)
     }
 }
 

@@ -690,6 +690,40 @@ pub mod named {
     }
 }
 
+/// Field codec for `[u64; N]` written as decimal strings, exact beyond
+/// the 2^53 that JSON numbers hold (e.g. PRNG state words).
+pub mod u64_strings {
+    use super::{Json, JsonError};
+
+    /// Encodes each word as a decimal string.
+    pub fn to_json<const N: usize>(words: &[u64; N]) -> Json {
+        Json::Arr(words.iter().map(|w| Json::Str(w.to_string())).collect())
+    }
+
+    /// Decodes exactly `N` decimal-string words.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a wrong word count or a word that is not a decimal
+    /// `u64` string.
+    pub fn from_json<const N: usize>(json: &Json) -> Result<[u64; N], JsonError> {
+        let words = match json {
+            Json::Arr(items) if items.len() == N => items,
+            _ => return Err(JsonError::new(format!("expected {N} u64 words"))),
+        };
+        let mut out = [0u64; N];
+        for (slot, w) in out.iter_mut().zip(words) {
+            *slot = match w {
+                Json::Str(text) => text
+                    .parse::<u64>()
+                    .map_err(|e| JsonError::new(format!("bad u64 word {text:?}: {e}")))?,
+                _ => return Err(JsonError::new("u64 word must be a string")),
+            };
+        }
+        Ok(out)
+    }
+}
+
 // --- declarative codecs ----------------------------------------------
 
 /// Declares a struct and its [`ToJson`] / [`FromJson`] impls from one
@@ -1100,6 +1134,26 @@ mod tests {
         assert_eq!(from_json_str::<i8>("-128").unwrap(), i8::MIN);
         assert_eq!(from_json_str::<u8>("255").unwrap(), u8::MAX);
         assert_eq!(from_json_str::<usize>("1e3").unwrap(), 1000);
+    }
+
+    #[test]
+    fn u64_strings_are_exact_and_checked() {
+        let words = [u64::MAX, (1 << 53) + 1, 0];
+        let json = u64_strings::to_json(&words);
+        assert_eq!(
+            json.to_string(),
+            r#"["18446744073709551615","9007199254740993","0"]"#
+        );
+        assert_eq!(u64_strings::from_json::<3>(&json).unwrap(), words);
+        for bad in [
+            r#"["1","2"]"#,
+            r#"["1","2",3]"#,
+            r#"["1","2","-3"]"#,
+            r#"{"a":"1"}"#,
+        ] {
+            let json = Json::parse(bad).unwrap();
+            assert!(u64_strings::from_json::<3>(&json).is_err(), "{bad}");
+        }
     }
 
     json_struct! {

@@ -11,7 +11,6 @@ use gddr_ser::{json_enum, named, FromJson, Json, JsonError};
 /// What one event kind reports beyond its wire fields: the name it
 /// answers to, the registry counter it bumps, and the shard that owns
 /// it. [`Event`] declares one per kind, next to the kind's fields.
-#[derive(Clone, Copy)]
 struct Facts<'a> {
     name: Option<&'a str>,
     counter: Option<(&'static str, u64)>,
