@@ -4,7 +4,7 @@
 //! both optimisers operate on the accumulated gradients in a
 //! [`ParamStore`] and zero them after stepping.
 
-use gddr_ser::{FromJson, Json, JsonError, ToJson};
+use gddr_ser::{json_struct, JsonError};
 
 use crate::matrix::Matrix;
 use crate::params::ParamStore;
@@ -56,16 +56,55 @@ impl Sgd {
     }
 }
 
-/// Adam (Kingma & Ba) with bias correction.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
-    t: u64,
-    m: Vec<Matrix>,
-    v: Vec<Matrix>,
+json_struct! {
+    /// Adam (Kingma & Ba) with bias correction. Its JSON form is the
+    /// full optimiser state (hyperparameters, step count, first/second
+    /// moments) for checkpointing.
+    #[derive(Debug, Clone)]
+    pub struct Adam {
+        lr: f64,
+        beta1: f64,
+        beta2: f64,
+        eps: f64,
+        t: u64,
+        m: Vec<Matrix>,
+        v: Vec<Matrix>,
+    }
+    validate = valid_state
+}
+
+/// Rejects decoded state with invalid hyperparameters or moment
+/// vectors that disagree in count or shape.
+fn valid_state(adam: &Adam) -> Result<(), JsonError> {
+    let Adam {
+        lr,
+        beta1,
+        beta2,
+        m,
+        v,
+        ..
+    } = adam;
+    let lr_valid = lr.is_finite() && *lr > 0.0;
+    if !lr_valid || !(0.0..1.0).contains(beta1) || !(0.0..1.0).contains(beta2) {
+        return Err(JsonError("invalid Adam hyperparameters".to_string()));
+    }
+    if m.len() != v.len() {
+        return Err(JsonError(format!(
+            "Adam moment count mismatch: {} first vs {} second",
+            m.len(),
+            v.len()
+        )));
+    }
+    for (i, (mi, vi)) in m.iter().zip(v).enumerate() {
+        if mi.shape() != vi.shape() {
+            return Err(JsonError(format!(
+                "Adam moment {i}: shape {:?} vs {:?}",
+                mi.shape(),
+                vi.shape()
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl Adam {
@@ -137,70 +176,13 @@ impl Adam {
         }
         store.zero_grads();
     }
-
-    /// Serialises the full optimiser state (hyperparameters, step
-    /// count, first/second moments) for checkpointing.
-    pub fn state_to_json(&self) -> Json {
-        Json::obj([
-            ("lr", self.lr.to_json()),
-            ("beta1", self.beta1.to_json()),
-            ("beta2", self.beta2.to_json()),
-            ("eps", self.eps.to_json()),
-            ("t", self.t.to_json()),
-            ("m", self.m.to_json()),
-            ("v", self.v.to_json()),
-        ])
-    }
-
-    /// Reconstructs an optimiser from [`Adam::state_to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed JSON or inconsistent moment vectors.
-    pub fn from_state_json(json: &Json) -> Result<Self, JsonError> {
-        let lr = f64::from_json(json.field("lr")?)?;
-        let beta1 = f64::from_json(json.field("beta1")?)?;
-        let beta2 = f64::from_json(json.field("beta2")?)?;
-        let eps = f64::from_json(json.field("eps")?)?;
-        let t = u64::from_json(json.field("t")?)?;
-        let m = Vec::<Matrix>::from_json(json.field("m")?)?;
-        let v = Vec::<Matrix>::from_json(json.field("v")?)?;
-        let lr_valid = lr.is_finite() && lr > 0.0;
-        if !lr_valid || !(0.0..1.0).contains(&beta1) || !(0.0..1.0).contains(&beta2) {
-            return Err(JsonError("invalid Adam hyperparameters".to_string()));
-        }
-        if m.len() != v.len() {
-            return Err(JsonError(format!(
-                "Adam moment count mismatch: {} first vs {} second",
-                m.len(),
-                v.len()
-            )));
-        }
-        for (i, (mi, vi)) in m.iter().zip(&v).enumerate() {
-            if mi.shape() != vi.shape() {
-                return Err(JsonError(format!(
-                    "Adam moment {i}: shape {:?} vs {:?}",
-                    mi.shape(),
-                    vi.shape()
-                )));
-            }
-        }
-        Ok(Adam {
-            lr,
-            beta1,
-            beta2,
-            eps,
-            t,
-            m,
-            v,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Matrix, ParamStore, Tape};
+    use gddr_ser::{FromJson, Json, ToJson};
 
     /// Minimise (w - 3)^2 and check convergence to 3.
     fn quadratic_descent(mut stepper: impl FnMut(&mut ParamStore), iters: usize) -> f64 {
@@ -276,8 +258,8 @@ mod tests {
             store.accumulate_grad(id, &Matrix::from_vec(1, 2, vec![0.3 * k as f64, -0.1]));
             opt.step(&mut store);
         }
-        let text = opt.state_to_json().to_string();
-        let restored = Adam::from_state_json(&Json::parse(&text).unwrap()).unwrap();
+        let text = opt.to_json().to_string();
+        let restored = Adam::from_json(&Json::parse(&text).unwrap()).unwrap();
         let mut store2 = store.clone();
         let mut opt2 = restored;
         // One more identical step through each: values must match bitwise.
@@ -296,6 +278,6 @@ mod tests {
                 "m":[{"rows":1,"cols":1,"data":[0]}],"v":[]}"#,
         )
         .unwrap();
-        assert!(Adam::from_state_json(&json).is_err());
+        assert!(Adam::from_json(&json).is_err());
     }
 }

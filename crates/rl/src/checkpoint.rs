@@ -74,7 +74,7 @@ json_struct! {
         pub env_state: Json,
         /// Policy/value parameters (`ParamStore::values_to_json`).
         pub params: Json,
-        /// Optimiser state (`Adam::state_to_json`).
+        /// Optimiser state (`Adam` as JSON).
         pub optimiser: Json,
         /// Observation/reward normaliser, when the trainer uses one.
         pub normaliser: Option<RunningMeanStd>,

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use gddr_rng::rngs::StdRng;
 use gddr_rng::Rng;
-use gddr_ser::json_struct;
+use gddr_ser::{json_struct, FromJson, ToJson};
 
 use gddr_nn::optim::Adam;
 use gddr_nn::{Matrix, Tape};
@@ -621,7 +621,7 @@ impl Ppo {
             rng: rng.state(),
             env_state: env.state_json(),
             params: policy.params().values_to_json(),
-            optimiser: self.optimiser.state_to_json(),
+            optimiser: self.optimiser.to_json(),
             normaliser: None,
             log: log.clone(),
         }
@@ -649,7 +649,7 @@ impl Ppo {
             .params_mut()
             .values_from_json(&ckpt.params)
             .map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        self.optimiser = Adam::from_state_json(&ckpt.optimiser)?;
+        self.optimiser = Adam::from_json(&ckpt.optimiser)?;
         env.restore_state(&ckpt.env_state)?;
         *rng = StdRng::from_state(ckpt.rng);
         *log = ckpt.log.clone();
@@ -692,7 +692,7 @@ mod tests {
     use crate::env::test_envs::ChaseEnv;
     use crate::policy::MlpGaussianPolicy;
     use gddr_rng::SeedableRng;
-    use gddr_ser::{FromJson, Json, ToJson};
+    use gddr_ser::Json;
 
     #[test]
     fn ppo_learns_chase_env() {
